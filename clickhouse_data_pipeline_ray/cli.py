@@ -47,22 +47,21 @@ def _init_ray(num_cpus: int | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Dispatch with one-line actionable errors (a missing table, a held
-    lock or a bad epoch is an operator mistake, not a traceback — unlike the
-    reference services, which surface raw exceptions)."""
-    from .state.manifest import TableLockError
+    """Dispatch with one-line actionable errors (a missing table, a lost
+    commit race or a bad epoch is an operator mistake, not a traceback —
+    unlike the reference services, which surface raw exceptions)."""
+    from .state.manifest import ConcurrentCommitError
 
     try:
         return _run(argv)
-    except TableLockError as e:
-        print(f"error: {e} — another writer holds this table; retry when it "
-              f"finishes (or remove the lock file if its owner is dead)",
-              file=sys.stderr)
+    except ConcurrentCommitError as e:
+        print(f"error: {e} — another writer committed to this table first; "
+              f"re-run the command", file=sys.stderr)
         return 2
     except FileNotFoundError as e:
         missing = getattr(e, "filename", None) or str(e)
         hint = (" — table not initialized? run `init --table ...` first"
-                if "manifest.json" in str(missing) else "")
+                if "manifest-" in str(missing) else "")
         print(f"error: not found: {missing}{hint}", file=sys.stderr)
         return 2
     except ValueError as e:
@@ -98,11 +97,6 @@ def _run(argv: list[str] | None = None) -> int:
     sp.add_argument("--event-time-col", default=None,
                     help="enable event-time watermark + late-data metrics on "
                          "this column (default: event_ts for fact schemas)")
-    sp.add_argument("--store", choices=("posix", "object"), default="posix",
-                    help="commit protocol: posix (atomic rename + flock, "
-                         "default) or object (object-store model: "
-                         "conditional-put manifest swap, no rename/locks — "
-                         "optimistic multi-writer concurrency)")
     sp.add_argument("--retention", type=int, default=None,
                     help="retained versioned manifests for time travel (default 8)")
     sp.add_argument("--skip-cols", default=None,
@@ -929,10 +923,9 @@ def _run(argv: list[str] | None = None) -> int:
             mode=args.mode, key_col=key_col, partition_spec=spec,
             retention=args.retention, event_time_col=ev_col or "",
             sum_cols=sum_cols, skip_cols=skip_cols or None,
-            store=args.store,
         )
         print(json.dumps({"table": args.table, "epoch": man.epoch, "mode": man.mode,
-                          "partition_spec": man.spec, "store": args.store,
+                          "partition_spec": man.spec,
                           "num_partitions": man.num_partitions}))
         return 0
 

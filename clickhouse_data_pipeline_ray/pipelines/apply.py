@@ -11,7 +11,7 @@ resumable micro-batch loop:
       → map_batches(normalize + pid/salt + LWW pre-compact) [stateless tasks]
       → (hot pids only) groupby(pid, salt).map_groups(compact)   [salted L1]
       → groupby(pid).map_groups(MergeApply actor pool)      [stateful merge]
-      → driver: rename tmp snapshots + atomic manifest swap [exactly-once]
+      → driver: fsync part dirs + put-if-absent manifest    [exactly-once]
 
 The per-epoch change volume is bounded by ``max_segments``. Each epoch is ONE
 streaming Dataset execution (read → normalize → shuffle → merge): hot-partition
@@ -28,6 +28,7 @@ fully rewrites touched partitions every epoch (MERGE-on-write).
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -51,32 +52,20 @@ from ..sources.wal import (
     segment_schema,
 )
 from ..stages.merge import MergeApply, promote_part
-from ..state.store import store_kind
-
-# object-store auto-GC grace: unreferenced files younger than this survive
-# (a racing optimistic writer may have live uncommitted parts — the Delta
-# VACUUM retention idea). Posix tables hold the flock, so grace is 0 there.
-OBJECT_GC_GRACE_S = 3600.0
-
-
-def _gc(man) -> int:
-    from ..state.manifest import gc_stale_files as _gc_stale
-
-    grace = OBJECT_GC_GRACE_S if store_kind(man.table_dir) == "object" else 0.0
-    return _gc_stale(man, min_age_s=grace)
 from ..stages.normalize import (
     compact_group,
     make_collapse_compact_group,
     make_normalize_fn,
     make_sum_compact_group,
 )
+from ..state import manifest as manifest_mod
 from ..state.manifest import (
+    ConcurrentCommitError,
     Manifest,
     commit_manifest,
     empty_partition,
     init_table,
     load_manifest,
-    table_lock,
 )
 
 
@@ -149,7 +138,6 @@ def create_table(
     event_time_col: str = "",
     sum_cols: list[str] | None = None,
     skip_cols: list[str] | None = None,
-    store: str = "posix",
 ) -> Manifest:
     from ..state.manifest import MANIFEST_RETENTION
 
@@ -164,7 +152,6 @@ def create_table(
         event_time_col=event_time_col,
         sum_cols=sum_cols,
         skip_cols=skip_cols,
-        store=store,
     )
 
 
@@ -295,7 +282,7 @@ def _apply_small_epoch(
     """Driver-side micro-epoch: read each parquet segment, run the shared
     normalize fn, split by pid (one stable argsort + run boundaries), and
     apply each group through ONE MergeApply instance — the same kernel the
-    actor pool runs, producing byte-identical tmp files for the shared
+    actor pool runs, producing byte-identical parts for the shared
     commit path. Returns the same stats rows ``take_all`` would."""
     import numpy as np
 
@@ -324,9 +311,7 @@ def _fold_zone_stats(part: dict, row: dict) -> None:
     the live chain are dropped (compaction replaced them), carried-over files
     keep the zones recorded when they were written. No-op for tables without
     skip cols (no zones key ever appears)."""
-    import json as _json
-
-    new = _json.loads(row["zones_json"]) if row.get("zones_json") else {}
+    new = json.loads(row["zones_json"]) if row.get("zones_json") else {}
     if not new and "zones" not in part:
         return
     zones = dict(part.get("zones") or {})
@@ -382,15 +367,38 @@ def _dlq_epoch_rows(dlq_dir: str, epoch: int) -> int:
     )
 
 
+def _commit(man: Manifest, entry: dict, gc: bool = True) -> None:
+    """Commit ``man`` as the epoch ``entry`` records, then collect the parts
+    no retained manifest references. Raises ConcurrentCommitError when
+    another writer committed that epoch first."""
+    man.epoch = entry["epoch"]
+    man.history.append(entry)
+    commit_manifest(man)
+    if gc:
+        manifest_mod.gc_stale_files(man)
+
+
+def _install_parts(table_dir: str, partitions: dict, stats: list[dict]) -> None:
+    """Driver half of a maintenance commit: make each rewritten part's
+    directory entry durable and point its partition at the new chain."""
+    for row in stats:
+        promote_part(table_dir, row["new_file"])
+        part = partitions[str(row["pid"])]
+        part.update(
+            {
+                "rows": int(row["rows"]),
+                "exact_rows": True,
+                "bytes": int(row["bytes"]),
+                "files": json.loads(row["files_json"]),
+            }
+        )
+        _fold_zone_stats(part, row)
+
+
 def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> dict | None:
     """Apply one epoch of pending WAL segments. Returns stats, or None when
-    caught up. Ray must already be initialized by the caller. Holds the
-    table's single-writer lock for the epoch (see manifest.table_lock)."""
-    with table_lock(table_dir):
-        return _apply_once_locked(table_dir, wal_dir, cfg)
-
-
-def _apply_once_locked(table_dir: str, wal_dir: str, cfg: ApplyConfig | None) -> dict | None:
+    caught up. Ray must already be initialized by the caller. Raises
+    ConcurrentCommitError when another writer committed the epoch first."""
     cfg = cfg or ApplyConfig()
     t0 = time.perf_counter()
     man = load_manifest(table_dir)
@@ -454,7 +462,7 @@ def _apply_once_locked(table_dir: str, wal_dir: str, cfg: ApplyConfig | None) ->
         # Micro-epoch latency fast path (the MV small-tick trick applied to
         # the apply loop itself): run the SAME normalize fn and MergeApply
         # kernel driver-side, skipping a Dataset execution's ~1 s fixed cost.
-        # Identical results and the same tmp-write files by construction —
+        # Identical results and the same part files by construction —
         # the commit code below is shared; salting is skipped (LWW is
         # associative, and a micro-batch has no skew worth fanning out).
         stats = _apply_small_epoch(segs, normalize, merge_kwargs)
@@ -496,9 +504,7 @@ def _apply_once_locked(table_dir: str, wal_dir: str, cfg: ApplyConfig | None) ->
         if cfg.stage_stats:
             ray_stage_stats = stats_ds.stats()
 
-    # ---- commit point: rename all tmp parts, then atomic manifest swap ----
-    import json as _json
-
+    # ---- commit point: part dirs durable, then the manifest put ----
     seg_names = [s.name for s in segs]
     merged_rows = 0  # post-compaction change rows that reached the merge
     man.last_applied = {}
@@ -517,7 +523,7 @@ def _apply_once_locked(table_dir: str, wal_dir: str, cfg: ApplyConfig | None) ->
                 "rows": int(row["rows"]),
                 "exact_rows": bool(row["exact"]),
                 "bytes": int(row["bytes"]),
-                "files": _json.loads(row["files_json"]),
+                "files": json.loads(row["files_json"]),
             }
         )
         _fold_zone_stats(part, row)
@@ -558,12 +564,8 @@ def _apply_once_locked(table_dir: str, wal_dir: str, cfg: ApplyConfig | None) ->
         epoch_stats["event_time_watermark_us"] = man.event_time_watermark_us
     if cfg.dlq_dir:
         epoch_stats["dlq_rows"] = _dlq_epoch_rows(cfg.dlq_dir, epoch)
-    man.epoch = epoch
     man.schema_b64 = schema_to_b64(snap_schema)
-    man.history.append(epoch_stats)
-    commit_manifest(man)
-    if cfg.gc:
-        _gc(man)
+    _commit(man, epoch_stats, gc=cfg.gc)
     if ray_stage_stats is not None:
         # returned copy only — the manifest history stays O(small)
         return {**epoch_stats, "stage_stats": ray_stage_stats}
@@ -580,41 +582,41 @@ def replay(
     committed manifest watermark — the fix for the reference's restart-equals-
     full-resync behavior, /root/reference/etl/main.py:116-119). In delta mode
     a final compaction pass (checkpoint) leaves every partition as one clean
-    snapshot file, so readers pay zero merge cost afterwards."""
-    from ..state.manifest import ConcurrentCommitError
+    snapshot file, so readers pay zero merge cost afterwards.
 
+    Any number of replays may run against one table at once: an epoch or
+    compaction that loses the commit race is retried from the new head."""
     cfg = cfg or ApplyConfig()
     out = []
-    while True:
-        try:
-            stats = apply_once(table_dir, wal_dir, cfg)
-        except ConcurrentCommitError:
-            # object-store optimistic concurrency: another writer committed
-            # this epoch first. Progress is guaranteed (losing implies
-            # someone else advanced the table), so re-read the fresh
-            # manifest and continue — the next attempt resumes from the
-            # new watermark and skips the already-applied segments.
-            # Posix tables never reach here (flock serializes writers).
-            continue
-        if stats is None:
-            break
+    while (stats := _until_committed(apply_once, table_dir, wal_dir, cfg)) is not None:
         out.append(stats)
         if cfg.auto_compact_ratio is not None:
-            cstats = compact_table(
+            out.append(_until_committed(
+                compact_table,
                 table_dir,
                 concurrency=cfg.merge_concurrency,
                 size_ratio=cfg.auto_compact_ratio,
-            )
-            if cstats is not None:
-                out.append(cstats)
+            ))
     if final_compact:
         # No-op when every partition chain is already a single clean file
         # (snapshot-mode upsert tables); folds delta chains (upsert) or
         # coalesces append parts otherwise.
-        cstats = compact_table(table_dir, concurrency=cfg.merge_concurrency)
-        if cstats is not None:
-            out.append(cstats)
-    return out
+        out.append(_until_committed(
+            compact_table, table_dir, concurrency=cfg.merge_concurrency
+        ))
+    return [s for s in out if s is not None]
+
+
+def _until_committed(op, *args, **kwargs):
+    """Run a table operation until its commit lands. Losing the manifest put
+    means another writer advanced the table, so re-running from the fresh
+    head always makes progress (an apply resumes past the segments the
+    winner applied; a compaction re-plans)."""
+    while True:
+        try:
+            return op(*args, **kwargs)
+        except ConcurrentCommitError:
+            continue
 
 
 def _dirty_pids(man: Manifest) -> list[int]:
@@ -681,10 +683,39 @@ def compact_table(
     """Compact delta chains into clean snapshot files. ``size_ratio=None``
     = major compaction (every dirty partition); a float selects partitions
     by the size-tiered policy (see :func:`compact_plan`). Same exactly-once
-    protocol as an apply epoch: all tmp writes land, then one atomic
-    manifest swap. Returns stats, or None when nothing qualifies."""
-    with table_lock(table_dir):
-        return _compact_table_locked(table_dir, concurrency, size_ratio)
+    protocol as an apply epoch: all part writes land, then one manifest put.
+    Returns stats, or None when nothing qualifies."""
+    from ..stages.merge import CompactWorker
+
+    man = load_manifest(table_dir)
+    plan = compact_plan(table_dir, size_ratio)
+    dirty = plan["pids"]
+    if not dirty:
+        return None
+    epoch = man.epoch + 1
+    t0 = time.perf_counter()
+    worker_kwargs = {
+        "table_dir": table_dir,
+        "epoch": epoch,
+        "partitions": _worker_partitions(man.partitions),
+        "snapshot_schema_b64": man.schema_b64,
+        "mode": man.mode,
+        "sum_cols": man.sum_cols,
+        "skip_cols": man.skip_cols,
+    }
+    stats = _maintenance_stats(
+        CompactWorker, worker_kwargs, dirty, concurrency, table_dir, man
+    )
+    _install_parts(table_dir, man.partitions, stats)
+    epoch_stats = {
+        "epoch": epoch,
+        "compaction": True,
+        "partitions_compacted": len(dirty),
+        "rows_total": sum(int(p["rows"]) for p in man.partitions.values()),
+        "wall_s": round(time.perf_counter() - t0, 4),
+    }
+    _commit(man, epoch_stats)
+    return epoch_stats
 
 
 # Maintenance passes (compaction / TTL / mutation) whose selected chains
@@ -731,59 +762,6 @@ def _maintenance_stats(
     )
 
 
-def _compact_table_locked(
-    table_dir: str, concurrency: int | tuple, size_ratio: float | None = None
-) -> dict | None:
-    import json as _json
-
-    from ..stages.merge import CompactWorker
-
-    man = load_manifest(table_dir)
-    plan = compact_plan(table_dir, size_ratio)
-    dirty = plan["pids"]
-    if not dirty:
-        return None
-    epoch = man.epoch + 1
-    t0 = time.perf_counter()
-    worker_kwargs = {
-        "table_dir": table_dir,
-        "epoch": epoch,
-        "partitions": _worker_partitions(man.partitions),
-        "snapshot_schema_b64": man.schema_b64,
-        "mode": man.mode,
-        "sum_cols": man.sum_cols,
-        "skip_cols": man.skip_cols,
-    }
-    stats = _maintenance_stats(
-        CompactWorker, worker_kwargs, dirty, concurrency, table_dir, man
-    )
-    for row in stats:
-        pid = str(row["pid"])
-        promote_part(table_dir, row["new_file"])
-        man.partitions[pid].update(
-            {
-                "rows": int(row["rows"]),
-                "exact_rows": True,
-                "bytes": int(row["bytes"]),
-                "files": _json.loads(row["files_json"]),
-            }
-        )
-        _fold_zone_stats(man.partitions[pid], row)
-    wall = time.perf_counter() - t0
-    epoch_stats = {
-        "epoch": epoch,
-        "compaction": True,
-        "partitions_compacted": len(dirty),
-        "rows_total": sum(int(p["rows"]) for p in man.partitions.values()),
-        "wall_s": round(wall, 4),
-    }
-    man.epoch = epoch
-    man.history.append(epoch_stats)
-    commit_manifest(man)
-    _gc(man)
-    return epoch_stats
-
-
 def ttl_expire(
     table_dir: str,
     ttl_col: str,
@@ -816,7 +794,6 @@ def ttl_expire(
     ClickHouse TTL deleting a row a later INSERT re-creates.
     """
     import datetime as _dt
-    import json as _json
 
     from ..stages.merge import TTLWorker
     from ..stages.partition import yyyymm_of
@@ -827,108 +804,93 @@ def ttl_expire(
         cutoff = cutoff.astimezone(_dt.timezone.utc).replace(tzinfo=None)
     cutoff_us = pa.scalar(cutoff, pa.timestamp("us")).value
 
-    with table_lock(table_dir):
-        man = load_manifest(table_dir)
-        if ttl_col not in man.schema.names:
-            raise ValueError(f"ttl column {ttl_col!r} not in table schema")
-        if not pa.types.is_timestamp(man.schema.field(ttl_col).type):
-            raise ValueError(f"ttl column {ttl_col!r} must be a timestamp column")
-        spec = man.spec
-        drop_pids: list[str] = []
-        candidates: list[str] = []
-        if spec.get("kind") == "time" and spec.get("col") == ttl_col:
-            cutoff_ym = yyyymm_of(cutoff)
-            for pid in man.partitions:
-                if int(pid) < cutoff_ym:
-                    drop_pids.append(pid)
-                elif int(pid) == cutoff_ym:
-                    candidates.append(pid)
-        else:
-            candidates = list(man.partitions)
-        # prune partitions that provably hold no pre-cutoff rows: skip-index
-        # zones first (pure manifest read — free when the TTL column is a
-        # declared skip col; zones are already int64 us), parquet FOOTER
-        # min-stats as the fallback (metadata-only, but one open per file)
-        zones_on = ttl_col in (man.skip_cols or [])
-        scan_pids: list[str] = []
-        for pid in candidates:
-            part = man.partitions[pid]
-            files = part.get("files") or []
-            if not files:
-                continue
-            mn = None
-            if zones_on:
-                zs = [
-                    ((part.get("zones") or {}).get(f) or {}).get(ttl_col)
-                    for f in files
-                ]
-                if all(z is not None for z in zs):
-                    mn = min(z[0] for z in zs)
-            if mn is None:
-                mn = _files_min_ts_us(table_dir, files, ttl_col)
-            if mn is None or mn < cutoff_us:
-                scan_pids.append(pid)
-        if not drop_pids and not scan_pids:
-            return None
+    man = load_manifest(table_dir)
+    if ttl_col not in man.schema.names:
+        raise ValueError(f"ttl column {ttl_col!r} not in table schema")
+    if not pa.types.is_timestamp(man.schema.field(ttl_col).type):
+        raise ValueError(f"ttl column {ttl_col!r} must be a timestamp column")
+    spec = man.spec
+    drop_pids: list[str] = []
+    candidates: list[str] = []
+    if spec.get("kind") == "time" and spec.get("col") == ttl_col:
+        cutoff_ym = yyyymm_of(cutoff)
+        for pid in man.partitions:
+            if int(pid) < cutoff_ym:
+                drop_pids.append(pid)
+            elif int(pid) == cutoff_ym:
+                candidates.append(pid)
+    else:
+        candidates = list(man.partitions)
+    # prune partitions that provably hold no pre-cutoff rows: skip-index
+    # zones first (pure manifest read — free when the TTL column is a
+    # declared skip col; zones are already int64 us), parquet FOOTER
+    # min-stats as the fallback (metadata-only, but one open per file)
+    zones_on = ttl_col in (man.skip_cols or [])
+    scan_pids: list[str] = []
+    for pid in candidates:
+        part = man.partitions[pid]
+        files = part.get("files") or []
+        if not files:
+            continue
+        mn = None
+        if zones_on:
+            zs = [
+                ((part.get("zones") or {}).get(f) or {}).get(ttl_col)
+                for f in files
+            ]
+            if all(z is not None for z in zs):
+                mn = min(z[0] for z in zs)
+        if mn is None:
+            mn = _files_min_ts_us(table_dir, files, ttl_col)
+        if mn is None or mn < cutoff_us:
+            scan_pids.append(pid)
+    if not drop_pids and not scan_pids:
+        return None
 
-        t0 = time.perf_counter()
-        epoch = man.epoch + 1
-        rows_expired = 0
-        if scan_pids:
-            stats = _maintenance_stats(
-                TTLWorker,
-                {
-                    "table_dir": table_dir,
-                    "epoch": epoch,
-                    "partitions": _worker_partitions(man.partitions),
-                    "snapshot_schema_b64": man.schema_b64,
-                    "ttl_col": ttl_col,
-                    "cutoff_us": cutoff_us,
-                    "mode": man.mode,
-                    "sum_cols": man.sum_cols,
-                    "skip_cols": man.skip_cols,
-                },
-                scan_pids,
-                concurrency,
-                table_dir,
-                man,
-            )
-            for row in stats:
-                pid = str(row["pid"])
-                promote_part(table_dir, row["new_file"])
-                man.partitions[pid].update(
-                    {
-                        "rows": int(row["rows"]),
-                        "exact_rows": True,
-                        "bytes": int(row["bytes"]),
-                        "files": _json.loads(row["files_json"]),
-                    }
-                )
-                _fold_zone_stats(man.partitions[pid], row)
-                rows_expired += int(row["deletes"])
-        if drop_pids:
-            # pin the resume floor before partitions vanish: the global
-            # watermark is min over partitions and must not move backwards
-            # (or fall to 0 if every partition drops)
-            man.watermark_floor = max(man.watermark_floor, man.watermark)
-            for pid in drop_pids:
-                rows_expired += int(man.partitions[pid]["rows"])
-                del man.partitions[pid]
-        out = {
-            "epoch": epoch,
-            "ttl": True,
-            "ttl_col": ttl_col,
-            "cutoff": cutoff.isoformat(),
-            "partitions_dropped": len(drop_pids),
-            "partitions_rewritten": len(scan_pids),
-            "rows_expired": rows_expired,
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-        man.epoch = epoch
-        man.history.append(out)
-        commit_manifest(man)
-        _gc(man)
-        return out
+    t0 = time.perf_counter()
+    epoch = man.epoch + 1
+    rows_expired = 0
+    if scan_pids:
+        stats = _maintenance_stats(
+            TTLWorker,
+            {
+                "table_dir": table_dir,
+                "epoch": epoch,
+                "partitions": _worker_partitions(man.partitions),
+                "snapshot_schema_b64": man.schema_b64,
+                "ttl_col": ttl_col,
+                "cutoff_us": cutoff_us,
+                "mode": man.mode,
+                "sum_cols": man.sum_cols,
+                "skip_cols": man.skip_cols,
+            },
+            scan_pids,
+            concurrency,
+            table_dir,
+            man,
+        )
+        _install_parts(table_dir, man.partitions, stats)
+        rows_expired += sum(int(row["deletes"]) for row in stats)
+    if drop_pids:
+        # pin the resume floor before partitions vanish: the global
+        # watermark is min over partitions and must not move backwards
+        # (or fall to 0 if every partition drops)
+        man.watermark_floor = max(man.watermark_floor, man.watermark)
+        for pid in drop_pids:
+            rows_expired += int(man.partitions[pid]["rows"])
+            del man.partitions[pid]
+    out = {
+        "epoch": epoch,
+        "ttl": True,
+        "ttl_col": ttl_col,
+        "cutoff": cutoff.isoformat(),
+        "partitions_dropped": len(drop_pids),
+        "partitions_rewritten": len(scan_pids),
+        "rows_expired": rows_expired,
+        "wall_s": round(time.perf_counter() - t0, 4),
+    }
+    _commit(man, out)
+    return out
 
 
 def mutate_table(
@@ -957,8 +919,6 @@ def mutate_table(
     Returns the history entry, or None when no row matched (no epoch is
     committed — a no-op mutation leaves no trace to replay or time-travel).
     """
-    import json as _json
-
     from ..stages.merge import MutateWorker
     from .scan import scan_plan
 
@@ -967,93 +927,78 @@ def mutate_table(
     if lo is None and hi is None:
         raise ValueError("mutation needs at least one bound (lo and/or hi)")
 
-    with table_lock(table_dir):
-        man = load_manifest(table_dir)
-        if man.mode == "collapse":
-            # a collapse table's committed state is a partial encoding
-            # (winner + adjustment rows); rewriting rows by predicate would
-            # corrupt the cancel balances. The ClickHouse answer applies:
-            # delete by inserting cancel (sign=-1) rows.
-            raise ValueError(
-                "mutations are not supported on collapse tables — insert "
-                "cancel (sign=-1) change events instead"
-            )
-        if col not in man.schema.names:
-            raise ValueError(f"mutation column {col!r} not in table schema")
-        immutable = {"doc_id", "lsn", man.key_col}
-        for name in set_cols or {}:
-            if name not in man.schema.names:
-                raise ValueError(f"set column {name!r} not in table schema")
-            if name in immutable:
-                raise ValueError(
-                    f"set column {name!r} is the key/version — immutable "
-                    "(mutations rewrite payloads, not identities)"
-                )
-        # zone pruning (correct-by-construction: scan_plan falls back to
-        # all partitions when zones are missing or unsound for this column)
-        plan = scan_plan(table_dir, col, lo, hi)
-        candidates = sorted(plan["partitions"], key=int)
-        if not candidates:
-            return None
-        t0 = time.perf_counter()
-        epoch = man.epoch + 1
-        stats = _maintenance_stats(
-            MutateWorker,
-            {
-                "table_dir": table_dir,
-                "epoch": epoch,
-                "partitions": _worker_partitions(man.partitions),
-                "snapshot_schema_b64": man.schema_b64,
-                "col": col,
-                "lo": lo,
-                "hi": hi,
-                "delete": delete,
-                "set_cols": set_cols,
-                "mode": man.mode,
-                "sum_cols": man.sum_cols,
-                "skip_cols": man.skip_cols,
-            },
-            candidates,
-            concurrency,
-            table_dir,
-            man,
+    man = load_manifest(table_dir)
+    if man.mode == "collapse":
+        # a collapse table's committed state is a partial encoding
+        # (winner + adjustment rows); rewriting rows by predicate would
+        # corrupt the cancel balances. The ClickHouse answer applies:
+        # delete by inserting cancel (sign=-1) rows.
+        raise ValueError(
+            "mutations are not supported on collapse tables — insert "
+            "cancel (sign=-1) change events instead"
         )
-        rows_deleted = sum(int(r["deletes"]) for r in stats)
-        rows_updated = sum(int(r["applied"]) for r in stats)
-        rewritten = [r for r in stats if r["new_file"]]
-        if not rewritten:
-            return None  # predicate matched nothing: no writes, no epoch
-        for row in rewritten:
-            pid = str(row["pid"])
-            promote_part(table_dir, row["new_file"])
-            man.partitions[pid].update(
-                {
-                    "rows": int(row["rows"]),
-                    "exact_rows": True,
-                    "bytes": int(row["bytes"]),
-                    "files": _json.loads(row["files_json"]),
-                }
+    if col not in man.schema.names:
+        raise ValueError(f"mutation column {col!r} not in table schema")
+    immutable = {"doc_id", "lsn", man.key_col}
+    for name in set_cols or {}:
+        if name not in man.schema.names:
+            raise ValueError(f"set column {name!r} not in table schema")
+        if name in immutable:
+            raise ValueError(
+                f"set column {name!r} is the key/version — immutable "
+                "(mutations rewrite payloads, not identities)"
             )
-            _fold_zone_stats(man.partitions[pid], row)
-        out = {
+    # zone pruning (correct-by-construction: scan_plan falls back to
+    # all partitions when zones are missing or unsound for this column)
+    plan = scan_plan(table_dir, col, lo, hi)
+    candidates = sorted(plan["partitions"], key=int)
+    if not candidates:
+        return None
+    t0 = time.perf_counter()
+    epoch = man.epoch + 1
+    stats = _maintenance_stats(
+        MutateWorker,
+        {
+            "table_dir": table_dir,
             "epoch": epoch,
-            "mutation": True,
+            "partitions": _worker_partitions(man.partitions),
+            "snapshot_schema_b64": man.schema_b64,
             "col": col,
-            "lo": None if lo is None else str(lo),
-            "hi": None if hi is None else str(hi),
-            "action": "delete" if delete else f"set {sorted(set_cols)}",
-            "rows_deleted": rows_deleted,
-            "rows_updated": rows_updated,
-            "partitions_rewritten": len(rewritten),
-            "partitions_pruned_by_zones": plan["partitions_pruned"],
-            "partitions_unchanged": len(stats) - len(rewritten),
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-        man.epoch = epoch
-        man.history.append(out)
-        commit_manifest(man)
-        _gc(man)
-        return out
+            "lo": lo,
+            "hi": hi,
+            "delete": delete,
+            "set_cols": set_cols,
+            "mode": man.mode,
+            "sum_cols": man.sum_cols,
+            "skip_cols": man.skip_cols,
+        },
+        candidates,
+        concurrency,
+        table_dir,
+        man,
+    )
+    rows_deleted = sum(int(r["deletes"]) for r in stats)
+    rows_updated = sum(int(r["applied"]) for r in stats)
+    rewritten = [r for r in stats if r["new_file"]]
+    if not rewritten:
+        return None  # predicate matched nothing: no writes, no epoch
+    _install_parts(table_dir, man.partitions, rewritten)
+    out = {
+        "epoch": epoch,
+        "mutation": True,
+        "col": col,
+        "lo": None if lo is None else str(lo),
+        "hi": None if hi is None else str(hi),
+        "action": "delete" if delete else f"set {sorted(set_cols)}",
+        "rows_deleted": rows_deleted,
+        "rows_updated": rows_updated,
+        "partitions_rewritten": len(rewritten),
+        "partitions_pruned_by_zones": plan["partitions_pruned"],
+        "partitions_unchanged": len(stats) - len(rewritten),
+        "wall_s": round(time.perf_counter() - t0, 4),
+    }
+    _commit(man, out)
+    return out
 
 
 def _files_min_ts_us(table_dir: str, files: list[str], col: str) -> int | None:
@@ -1098,107 +1043,88 @@ def import_base(
     renamed/cast, n_tok recomputed when absent) → hash-partition → shuffle →
     per-partition clean snapshots → atomic commit.
     """
-    import json as _json
-
     import pyarrow.compute as pc
 
     cfg = cfg or ApplyConfig()
-    with table_lock(table_dir):
-        man = load_manifest(table_dir)
-        # a sum-table base import is pre-aggregated state: one row per key
-        # (enforced by check_unique below) — later WAL deltas fold onto it
-        # through the normal sum chain
-        if man.mode not in ("upsert", "sum") or man.spec.get("kind") != "hash":
-            raise ValueError(
-                "import_base supports hash-partitioned upsert/sum tables"
-            )
-        if man.total_rows() > 0 or any(p["files"] for p in man.partitions.values()):
-            raise ValueError("import_base requires an empty table")
-        t0 = time.perf_counter()
-        epoch = man.epoch + 1
-        schema = man.schema
-        num_partitions = man.num_partitions
-
-        from ..stages.merge import SnapshotWriter
-        from ..stages.partition import assign_partitions
-
-        def conform(b: pa.Table) -> pa.Table:
-            if key_col != "doc_id":
-                idx = b.schema.get_field_index(key_col)
-                b = b.set_column(idx, "doc_id", b.column(idx))
-            if "doc_id" in b.column_names and b.column("doc_id").type != pa.string():
-                b = b.set_column(
-                    b.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    b.column("doc_id").cast(pa.string()),
-                )
-            if "n_tok" not in b.column_names and "tokens" in b.column_names:
-                b = b.append_column(
-                    "n_tok", pc.list_value_length(b.column("tokens")).cast(pa.int32())
-                )
-            if "lsn" not in b.column_names:
-                b = b.append_column("lsn", pa.nulls(b.num_rows, pa.int64()).fill_null(0))
-            from ..schemas import cast_table
-
-            b = cast_table(b, schema)
-            return assign_partitions(b, num_partitions, salt_factor=1)
-
-        rows = ray.data.read_parquet(parquet_path).map_batches(
-            conform, batch_format="pyarrow", zero_copy_batch=True
+    man = load_manifest(table_dir)
+    # a sum-table base import is pre-aggregated state: one row per key
+    # (enforced by check_unique below) — later WAL deltas fold onto it
+    # through the normal sum chain
+    if man.mode not in ("upsert", "sum") or man.spec.get("kind") != "hash":
+        raise ValueError(
+            "import_base supports hash-partitioned upsert/sum tables"
         )
-        stats = (
-            rows.groupby("pid")
-            .map_groups(
-                SnapshotWriter,
-                fn_constructor_kwargs={
-                    "table_dir": table_dir,
-                    "epoch": epoch,
-                    "snapshot_schema_b64": man.schema_b64,
-                    # imports carry no LSN order to tie-break duplicates, so a
-                    # non-unique corpus must fail loudly instead of landing as
-                    # a snapshot with repeated keys (LWW only fixes it after
-                    # the first WAL merge happens to touch the partition)
-                    "check_unique": True,
-                    "skip_cols": man.skip_cols,
-                },
-                batch_format="pyarrow",
-                concurrency=cfg.merge_concurrency,
-                num_cpus=1,
+    if man.total_rows() > 0 or any(p["files"] for p in man.partitions.values()):
+        raise ValueError("import_base requires an empty table")
+    t0 = time.perf_counter()
+    epoch = man.epoch + 1
+    schema = man.schema
+    num_partitions = man.num_partitions
+
+    from ..stages.merge import SnapshotWriter
+    from ..stages.partition import assign_partitions
+
+    def conform(b: pa.Table) -> pa.Table:
+        if key_col != "doc_id":
+            idx = b.schema.get_field_index(key_col)
+            b = b.set_column(idx, "doc_id", b.column(idx))
+        if "doc_id" in b.column_names and b.column("doc_id").type != pa.string():
+            b = b.set_column(
+                b.schema.get_field_index("doc_id"),
+                "doc_id",
+                b.column("doc_id").cast(pa.string()),
             )
-            .take_all()
+        if "n_tok" not in b.column_names and "tokens" in b.column_names:
+            b = b.append_column(
+                "n_tok", pc.list_value_length(b.column("tokens")).cast(pa.int32())
+            )
+        if "lsn" not in b.column_names:
+            b = b.append_column("lsn", pa.nulls(b.num_rows, pa.int64()).fill_null(0))
+        from ..schemas import cast_table
+
+        b = cast_table(b, schema)
+        return assign_partitions(b, num_partitions, salt_factor=1)
+
+    rows = ray.data.read_parquet(parquet_path).map_batches(
+        conform, batch_format="pyarrow", zero_copy_batch=True
+    )
+    stats = (
+        rows.groupby("pid")
+        .map_groups(
+            SnapshotWriter,
+            fn_constructor_kwargs={
+                "table_dir": table_dir,
+                "epoch": epoch,
+                "snapshot_schema_b64": man.schema_b64,
+                # imports carry no LSN order to tie-break duplicates, so a
+                # non-unique corpus must fail loudly instead of landing as
+                # a snapshot with repeated keys (LWW only fixes it after
+                # the first WAL merge happens to touch the partition)
+                "check_unique": True,
+                "skip_cols": man.skip_cols,
+            },
+            batch_format="pyarrow",
+            concurrency=cfg.merge_concurrency,
+            num_cpus=1,
         )
-        dups = [d for row in stats for d in _json.loads(row.get("dups_json") or "[]")]
-        if dups:
-            # raise BEFORE any rename: tmp files stay invisible and are GC'd
-            raise ValueError(
-                f"import: duplicate key(s) in corpus (e.g. {dups[:5]}); "
-                f"deduplicate before import"
-            )
-        total = 0
-        for row in stats:
-            pid = str(row["pid"])
-            promote_part(table_dir, row["new_file"])
-            man.partitions[pid].update(
-                {
-                    "rows": int(row["rows"]),
-                    "exact_rows": True,
-                    "bytes": int(row["bytes"]),
-                    "files": _json.loads(row["files_json"]),
-                }
-            )
-            _fold_zone_stats(man.partitions[pid], row)
-            total += int(row["rows"])
-        out = {
-            "imported": True,
-            "epoch": epoch,
-            "rows": total,
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-        man.epoch = epoch
-        man.history.append(out)
-        commit_manifest(man)
-        _gc(man)
-        return out
+        .take_all()
+    )
+    dups = [d for row in stats for d in json.loads(row.get("dups_json") or "[]")]
+    if dups:
+        # raise BEFORE the commit: the parts stay unreferenced and are GC'd
+        raise ValueError(
+            f"import: duplicate key(s) in corpus (e.g. {dups[:5]}); "
+            f"deduplicate before import"
+        )
+    _install_parts(table_dir, man.partitions, stats)
+    out = {
+        "imported": True,
+        "epoch": epoch,
+        "rows": sum(int(row["rows"]) for row in stats),
+        "wall_s": round(time.perf_counter() - t0, 4),
+    }
+    _commit(man, out)
+    return out
 
 
 def repartition_table(
@@ -1213,19 +1139,10 @@ def repartition_table(
 
     One Dataset job: merge-on-read each old partition → re-assign pids under
     the new P → shuffle → write clean snapshots into a fresh layout → same
-    atomic commit protocol (tmp writes, rename-all, manifest swap). Watermarks
-    carry over (min across old partitions — they are equal after any commit).
+    commit protocol (write-once parts, one manifest put). Watermarks carry
+    over (min across old partitions — they are equal after any commit).
     """
     cfg = cfg or ApplyConfig()
-    with table_lock(table_dir):
-        return _repartition_locked(table_dir, new_num_partitions, cfg)
-
-
-def _repartition_locked(
-    table_dir: str, new_num_partitions: int, cfg: ApplyConfig
-) -> dict:
-    import json as _json
-
     man = load_manifest(table_dir)
     if man.mode not in ("upsert", "sum") or man.spec.get("kind") != "hash":
         raise ValueError("repartition supports hash-partitioned upsert/sum tables")
@@ -1265,22 +1182,11 @@ def _repartition_locked(
         )
         .take_all()
     )
-    for row in stats:
-        pid = str(row["pid"])
-        promote_part(table_dir, row["new_file"])
-        new_parts[pid].update(
-            {
-                "rows": int(row["rows"]),
-                "bytes": int(row["bytes"]),
-                "files": _json.loads(row["files_json"]),
-            }
-        )
-        _fold_zone_stats(new_parts[pid], row)
+    _install_parts(table_dir, new_parts, stats)
     man.num_partitions = new_num_partitions
     man.partition_spec = {"kind": "hash", "num": new_num_partitions}
     man.partitions = new_parts
     man.last_applied = {}
-    man.epoch = epoch
     out = {
         "repartitioned": True,
         "epoch": epoch,
@@ -1288,9 +1194,7 @@ def _repartition_locked(
         "rows_total": sum(int(p["rows"]) for p in new_parts.values()),
         "wall_s": round(time.perf_counter() - t0, 4),
     }
-    man.history.append(out)
-    commit_manifest(man)
-    _gc(man)
+    _commit(man, out)
     return out
 
 

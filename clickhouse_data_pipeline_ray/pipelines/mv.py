@@ -59,7 +59,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources.wal import pending_segments
-from ..state.manifest import load_manifest, table_lock
+from ..state.manifest import load_manifest
+from ..state.registry import file_lock
 
 MV_DIR = "mv"
 SPEC_NAME = "mvspec.json"
@@ -631,8 +632,12 @@ def refresh_mv(table_dir: str, wal_dir: str | None, name: str) -> dict | None:
     watermark, table watermark] into the persisted state. Upsert tables:
     recompute the grouped partial of every partition whose file chain
     changed since the last tick (``wal_dir`` unused). Returns tick stats, or
-    None when the MV is caught up. Ray must already be initialized."""
-    with table_lock(table_dir):
+    None when the MV is caught up. Ray must already be initialized.
+
+    Concurrent refreshes of one MV take turns on the MV's lock file (its
+    state is published by rename, outside the table's manifest commit); the
+    table itself stays writable meanwhile."""
+    with file_lock(os.path.join(_mv_dir(table_dir, name), "refresh.lock")):
         spec = load_mv(table_dir, name)
         if spec.get("table_mode", "append") == "upsert":
             return _refresh_upsert_mv_locked(table_dir, name)
@@ -761,7 +766,7 @@ def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
     )
     _atomic_json(os.path.join(d, SPEC_NAME), spec)
     # GC: anything not referenced by the committed spec (replaced partials,
-    # crash orphans) — safe under the table lock, spec is the source of truth
+    # crash orphans) — safe under the MV lock, spec is the source of truth
     live = set(pid_partials.values())
     for f in os.listdir(d):
         if f.startswith("partial-") and f.endswith(".parquet") and f not in live:

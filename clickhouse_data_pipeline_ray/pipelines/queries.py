@@ -388,13 +388,7 @@ def cdc_collapse_replay(sf_dir: str) -> pa.Table:
     only, net > 0, max-LSN state payload). Values are whole floats by
     generation, so the int cast is lossless on both sides. Oracle: DuckDB
     ``GROUP BY doc_id HAVING sum(sign) > 0`` with ``arg_max FILTER
-    (sign = 1)`` over the same WAL.
-
-    The table runs on the OBJECT-STORE commit protocol (state/store.py:
-    conditional-put manifest swap, parts PUT at final keys, no rename/
-    flock), so this driver row also oracle-proves the multi-node storage
-    path every round — the protocol cannot change results, only whether
-    commits survive the object-store rules."""
+    (sign = 1)`` over the same WAL."""
     import shutil
 
     wal_dir = _collapse_wal(sf_dir)
@@ -405,7 +399,6 @@ def cdc_collapse_replay(sf_dir: str) -> pa.Table:
             num_partitions=16,
             schema=FACT_SNAPSHOT_SCHEMA.append(pa.field("sign", pa.int32())),
             mode="collapse",
-            store="object",
         )
         replay(
             table_dir,

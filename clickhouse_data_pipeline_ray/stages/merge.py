@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..schemas import cast_table, schema_from_b64
+from ..state.store import fsync_path, part_name, write_file_once
 
 # Transient routing columns added by the partition stage.
 ROUTING_COLS = ("pid", "salt")
@@ -39,16 +40,7 @@ _SRC_BASE = 0
 _SRC_CHANGE = 1
 
 
-def fsync_path(path: str) -> None:
-    """fsync a file's data (or a directory's entries) by path."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def write_part_tmp(
+def write_part(
     table_dir: str,
     pid: int,
     epoch: int,
@@ -56,57 +48,31 @@ def write_part_tmp(
     table: pa.Table,
     compression: str = "zstd",
 ) -> tuple[str, int]:
-    """The worker half of the commit protocol, shared by every part writer
-    (MergeApply, CompactWorker, SnapshotWriter): write under a unique scratch
-    name, fsync the FILE, then atomically move it to its ``.tmp`` name; the
-    driver renames tmp→final at commit, fsyncs the part directories, and
-    only then swaps the manifest. The file fsync orders the parquet bytes
-    BEFORE the manifest that references them — without it a power loss could
-    persist the manifest (which IS fsynced) while the parts it points at are
-    still page-cache-only, leaving an unreadable table whose watermark has
-    advanced past the WAL. The unique scratch name means a retried task
-    never interleaves bytes with a concurrent writer's file.
+    """The worker half of the commit protocol (state/store.py), shared by
+    every part writer (MergeApply, CompactWorker, TTLWorker, MutateWorker,
+    SnapshotWriter): write the part ONCE under a fresh writer-unique,
+    epoch-stamped name (``O_EXCL`` create, write, fsync — no staging file,
+    no rename). The fsync orders the parquet bytes BEFORE the manifest that
+    references them: without it a power loss could persist the manifest
+    while its parts are still page-cache-only. The part stays invisible
+    until a committed manifest names it; a crashed, losing or retried
+    writer leaves only unreferenced files for GC, never a changed one.
 
-    Returns (relative final path, bytes).
-
-    OBJECT-STORE tables (state/store.py) skip the tmp/rename dance: the
-    worker PUTs the part directly at its final, deterministic,
-    epoch-stamped key (the Delta/Iceberg data-file model). The file is
-    invisible until a committed manifest references it; a retried epoch
-    re-puts identical bytes; a losing writer's parts become GC-able
-    orphans."""
+    Returns (relative path, bytes)."""
     part_dir = os.path.join(table_dir, "parts", f"pid={pid:05d}")
     os.makedirs(part_dir, exist_ok=True)
-    rel = os.path.join("parts", f"pid={pid:05d}", f"{kind}-{epoch:06d}.parquet")
-    from ..state.store import put_file_object, store_kind
-
-    if store_kind(table_dir) == "object":
-        size = put_file_object(
-            os.path.join(table_dir, rel),
-            lambda staging: pq.write_table(table, staging, compression=compression),
-        )
-        return rel, size
-    tmp_path = os.path.join(table_dir, rel + ".tmp")
-    scratch = f"{tmp_path}.{os.getpid()}"
-    pq.write_table(table, scratch, compression=compression)
-    fsync_path(scratch)
-    os.replace(scratch, tmp_path)
-    return rel, os.path.getsize(tmp_path)
+    rel = os.path.join("parts", f"pid={pid:05d}", part_name(kind, epoch))
+    size = write_file_once(
+        os.path.join(table_dir, rel),
+        lambda f: pq.write_table(table, f, compression=compression),
+    )
+    return rel, size
 
 
 def promote_part(table_dir: str, rel: str) -> None:
-    """The driver half of the commit protocol: rename a worker-written
-    ``.tmp`` part to its final name and fsync the parent directory, so the
-    rename is durable BEFORE the manifest swap that references it.
-    Object-store tables have nothing to promote — parts were PUT at their
-    final keys and visibility is decided by the manifest swap alone."""
-    from ..state.store import store_kind
-
-    if store_kind(table_dir) == "object":
-        return
-    final = os.path.join(table_dir, rel)
-    os.replace(final + ".tmp", final)
-    fsync_path(os.path.dirname(final))
+    """The driver half of the commit protocol: fsync the part's directory,
+    so its entry is durable BEFORE the manifest put that references it."""
+    fsync_path(os.path.dirname(os.path.join(table_dir, rel)))
 
 
 def column_zones(table: pa.Table, skip_cols: list[str] | tuple) -> dict:
@@ -735,10 +701,10 @@ class MergeApply:
     - ``snapshot``: always fully merge and rewrite (MERGE-on-write); kept for
       small tables and as the compaction primitive.
 
-    Output files are written as ``*.parquet.tmp`` and renamed / committed by
-    the driver only after *all* partitions succeed (exactly-once: a crashed
-    epoch leaves no visible state; re-running rewrites the same deterministic
-    bytes).
+    Output files are written once under writer-unique names (``write_part``)
+    and become visible only when the driver commits a manifest naming them,
+    after *all* partitions succeed (exactly-once: a crashed epoch leaves no
+    visible state; re-running writes fresh files).
     """
 
     def __init__(
@@ -787,8 +753,8 @@ class MergeApply:
         T epochs on the micro-batch path. Downward jitter keeps the
         configured threshold as a hard chain-length bound (the documented
         invariant tests pin) while spreading compaction epochs across
-        partitions. crc32 keeps it stable across processes, so crashed-epoch
-        re-runs still produce identical bytes (exactly-once)."""
+        partitions. crc32 keeps it stable across processes, so a crashed
+        epoch re-runs with the same compaction decisions."""
         span = self.compact_threshold // 2
         if span <= 0:
             return self.compact_threshold
@@ -817,7 +783,7 @@ class MergeApply:
         # zstd for long-lived snapshots, lz4 for short-lived deltas (cheaper
         # to write; they are rewritten away at the next compaction anyway).
         comp = "lz4" if kind == "delta" else "zstd"
-        return write_part_tmp(self.table_dir, pid, self.epoch, kind, table, comp)
+        return write_part(self.table_dir, pid, self.epoch, kind, table, comp)
 
     def _zjson(self, rel: str, table: pa.Table) -> str:
         """Skip-index partial for one written part ("" when the table
@@ -1004,7 +970,7 @@ class CompactWorker:
     """Major compaction: fold one partition's delta chain into a single clean
     snapshot file (the write-time half of MERGE-on-read; analog of a manual
     ``OPTIMIZE TABLE ... FINAL`` on a ReplacingMergeTree). Runs as an actor
-    pool over pid-descriptor rows; same tmp-write + driver-rename commit
+    pool over pid-descriptor rows; same write-once + manifest-put commit
     protocol as MergeApply."""
 
     def __init__(
@@ -1038,7 +1004,7 @@ class CompactWorker:
                 self.table_dir, files, self.snapshot_schema, self.mode,
                 self.sum_cols,
             )
-            rel, nbytes = write_part_tmp(
+            rel, nbytes = write_part(
                 self.table_dir, pid, self.epoch, kind, merged
             )
             meta = self.partitions[str(pid)]
@@ -1063,7 +1029,7 @@ class TTLWorker:
     TTL column is strictly before the cutoff — the merge-time half of
     ClickHouse's ``TTL <col>`` clause (rows past their TTL disappear when a
     part is rewritten), run as an explicit maintenance pass. Null TTL values
-    never expire (ClickHouse semantics). Same tmp-write + driver-rename
+    never expire (ClickHouse semantics). Same write-once + manifest-put
     commit protocol as MergeApply/CompactWorker; the driver handles the
     cheap cases (whole-partition drops on time-partitioned tables, footer
     min-stat pruning) so this worker only ever sees partitions that really
@@ -1136,7 +1102,7 @@ class TTLWorker:
                     )
             kept = merged.filter(keep)
             expired = merged.num_rows - kept.num_rows
-            rel, nbytes = write_part_tmp(self.table_dir, pid, self.epoch, kind, kept)
+            rel, nbytes = write_part(self.table_dir, pid, self.epoch, kind, kept)
             zj = (
                 json.dumps({rel: column_zones(kept, self.skip_cols)})
                 if self.skip_cols
@@ -1160,7 +1126,7 @@ class MutateWorker:
     with constants. Runs only on partitions the driver could not prune by
     skip-index zones; a partition whose merged state matches NOTHING returns
     its original chain untouched (``new_file=""``) so an unselective
-    mutation costs reads, never writes. Same tmp-write + driver-rename
+    mutation costs reads, never writes. Same write-once + manifest-put
     commit protocol as MergeApply/TTLWorker."""
 
     def __init__(
@@ -1239,7 +1205,7 @@ class MutateWorker:
                     new = pc.if_else(mask, sv, col)
                     result = result.set_column(idx, result.schema.field(idx), new)
                 n_del, n_upd = 0, n_hit
-            rel, nbytes = write_part_tmp(
+            rel, nbytes = write_part(
                 self.table_dir, pid, self.epoch, kind, result
             )
             zj = (
@@ -1260,7 +1226,7 @@ class MutateWorker:
 class SnapshotWriter:
     """Write one pid group of already-merged snapshot rows as a clean
     snapshot file (used by table repartitioning, where rows arrive via a
-    shuffle rather than a file chain). Same tmp-write commit protocol."""
+    shuffle rather than a file chain). Same write-once commit protocol."""
 
     def __init__(
         self,
@@ -1300,7 +1266,7 @@ class SnapshotWriter:
             n_dup = pc.sum(dup.cast(pa.int64())).as_py() or 0
             if n_dup:
                 dup_sample = pc.filter(keys.slice(0, n - 1), dup).slice(0, 5).to_pylist()
-        rel, nbytes = write_part_tmp(
+        rel, nbytes = write_part(
             self.table_dir, pid, self.epoch, "snapshot", rows
         )
         zj = (

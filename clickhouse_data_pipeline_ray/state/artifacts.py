@@ -6,8 +6,8 @@ The engine grew four incrementally maintained derived-artifact families —
 the BM25 token index, the IVF ANN index, the NB classifier partials, and
 the n-gram LM partials — each refreshing changed-partitions-only via the
 manifest diff. This registry records (kind, destination, params) per
-artifact in ``artifacts.json`` beside the table's manifest (atomic write,
-same single-writer discipline), and ``refresh_artifacts`` dispatches each
+artifact in ``artifacts.json`` beside the table's manifest (atomic
+write), and ``refresh_artifacts`` dispatches each
 to its refresher. Registration is declarative: params are stored, not
 re-passed per refresh, so a cron/follow loop can't drift from the
 registered hyperparameters (a param change is an explicit re-register,

@@ -10,10 +10,11 @@ assuming them:
 - ``row_mismatch``   (error): a clean single-snapshot partition whose
   parquet footer row count disagrees with the manifest's exact row count.
 - ``orphan_file``    (warn): a parts/ file no retained manifest references
-  — a crashed epoch's leftovers. ``repair=True`` removes them (what the
-  post-commit GC would do).
-- ``tmp_leftover``   (warn): ``*.tmp*`` files from interrupted writes;
-  removed on repair.
+  — a crashed or losing writer's leftovers. Parts stamped with an epoch
+  newer than the head belong to a writer still at work and are not
+  reported. ``repair=True`` removes orphans with the post-commit GC itself.
+- ``tmp_leftover``   (warn): an unreferenced ``*.tmp*`` file (interrupted
+  writes of an older engine layout); removed on repair like an orphan.
 - ``watermark_skew`` (warn): per-partition LSN watermarks differ — legal
   mid-crash (merge re-filters per pid) but never after a clean commit.
 - ``bad_history``    (error): manifest history epochs not strictly
@@ -30,24 +31,23 @@ import os
 
 import pyarrow.parquet as pq
 
-from .manifest import Manifest, load_manifest, retained_epochs
+from .manifest import (
+    Manifest,
+    commit_manifest,
+    gc_stale_files,
+    load_manifest,
+    retained_epochs,
+    stale_files,
+)
 
 
 def fsck_table(table_dir: str, repair: bool = False) -> dict:
-    """Read-only checks run lock-free (a concurrent epoch can make orphan/
-    tmp WARNINGS transiently appear — its not-yet-committed files — which
-    is harmless to report). ``repair=True`` MUST hold the single-writer
-    lock: deleting an in-flight epoch's freshly promoted parts as "orphans"
-    would corrupt the commit it races."""
-    if repair:
-        from .manifest import table_lock
-
-        with table_lock(table_dir):
-            return _fsck_locked(table_dir, repair=True)
-    return _fsck_locked(table_dir, repair=False)
-
-
-def _fsck_locked(table_dir: str, repair: bool) -> dict:
+    """Check a table; with ``repair=True`` also fix what can be fixed. Both
+    run lock-free beside live writers: orphans are exactly what
+    ``gc_stale_files`` removes (an in-flight writer's parts are stamped
+    newer than the head and never count), and a metadata repair commits
+    ``epoch+1`` through the normal put, so it loses cleanly to a racing
+    writer (ConcurrentCommitError) instead of overwriting its commit."""
     man = load_manifest(table_dir)
     findings: list[dict] = []
     manifest_dirty = False  # a repair edited manifest state (not just disk)
@@ -58,7 +58,6 @@ def _fsck_locked(table_dir: str, repair: bool) -> dict:
         )
 
     # referenced files across HEAD + retained history
-    live: set[str] = set()
     manifests: list[tuple[int, Manifest]] = [(man.epoch, man)]
     for ep in retained_epochs(table_dir):
         if ep == man.epoch:
@@ -70,7 +69,6 @@ def _fsck_locked(table_dir: str, repair: bool) -> dict:
     for ep, m in manifests:
         for pid, part in m.partitions.items():
             for f in part.get("files") or []:
-                live.add(f)
                 if not os.path.exists(os.path.join(table_dir, f)):
                     add(
                         "missing_file",
@@ -79,23 +77,11 @@ def _fsck_locked(table_dir: str, repair: bool) -> dict:
                     )
 
     # filesystem walk: orphans + tmps
-    checked = 0
-    repaired = 0
     parts_root = os.path.join(table_dir, "parts")
-    for root, _dirs, names in os.walk(parts_root):
-        for name in names:
-            checked += 1
-            rel = os.path.relpath(os.path.join(root, name), table_dir)
-            if ".tmp" in name:
-                add("tmp_leftover", "warn", rel)
-                if repair:
-                    os.remove(os.path.join(table_dir, rel))
-                    repaired += 1
-            elif rel not in live:
-                add("orphan_file", "warn", rel)
-                if repair:
-                    os.remove(os.path.join(table_dir, rel))
-                    repaired += 1
+    checked = sum(len(names) for _r, _d, names in os.walk(parts_root))
+    for rel in stale_files(table_dir, man):
+        add("tmp_leftover" if ".tmp" in rel else "orphan_file", "warn", rel)
+    repaired = gc_stale_files(man) if repair else 0
 
     # exact row counts for clean single-snapshot chains (footer-only; delta
     # chains need a merge to verify and are out of fsck's metadata budget)
@@ -159,12 +145,11 @@ def _fsck_locked(table_dir: str, repair: bool) -> dict:
         )
 
     if repair and manifest_dirty:
-        # metadata repairs (stale zones) live in the manifest: persist them
-        # through the normal atomic-swap commit (same epoch — fsck repairs
-        # state, it does not advance the table)
-        from .manifest import commit_manifest
-
-        commit_manifest(man, allow_overwrite_version=True)
+        # metadata repairs (stale zones) live in the manifest: commit them as
+        # the next epoch through the normal put (no version is rewritten)
+        man.epoch += 1
+        man.history.append({"epoch": man.epoch, "fsck_repair": True})
+        commit_manifest(man)
 
     errors = sum(1 for f in findings if f["severity"] == "error")
     return {

@@ -4,21 +4,25 @@ Replaces the reference's two watermark mechanisms — the *in-memory*
 ``last_sync`` dict that is lost on restart (/root/reference/etl/core/
 pipeline.py:197-202, reset at /root/reference/etl/main.py:116-119) and the
 Kafka consumer-group offsets (/root/reference/stream_etl/core/consumer.py:
-103-105) — with a single JSON manifest per table holding, per partition:
-the high watermark (max applied LSN), current snapshot files, row/byte
-counts, and applied-segment lineage.
+103-105) — with one versioned JSON manifest per committed epoch holding, per
+partition: the high watermark (max applied LSN), current part files,
+row/byte counts, and applied-segment lineage.
 
 Commit protocol (exactly-once, the fix for the reference's at-least-once
-delivery): merge workers write ``*.parquet.tmp`` files; the driver renames
-them all, then atomically replaces ``manifest.json`` (single ``os.replace``).
-A crash anywhere before that replace leaves the previous manifest authoritative
-and the epoch invisible; re-running is idempotent (same segments re-read, same
-deterministic bytes rewritten). Driver state is O(P + epochs), never O(keys)
-— the 10^10-event design point.
+delivery; see ``state/store.py``): workers write each part once under a
+writer-unique, epoch-stamped name; the driver fsyncs the part directories
+and then commits by a put-if-absent of ``manifest-{epoch:06d}.json``. The
+current epoch is the highest versioned manifest a LIST returns. A crash
+anywhere before the put leaves the previous epoch authoritative and the
+crashed epoch's parts unreferenced (GC removes them); a racing writer that
+loses the put raises ``ConcurrentCommitError`` and retries from the new
+head. Driver state is O(P + epochs), never O(keys) — the 10^10-event design
+point.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import time
@@ -28,16 +32,18 @@ import pyarrow as pa
 
 from ..schemas import schema_from_b64, schema_to_b64
 from .store import (
-    ConcurrentCommitError,  # noqa: F401  (re-export: callers catch it here)
-    mark_object_store,
+    ConcurrentCommitError,
+    fsync_path,
+    part_epoch,
     put_json_if_absent,
-    put_json_object,
-    store_kind,
 )
 
-MANIFEST_NAME = "manifest.json"
 # Retained versioned manifests (time travel): manifest-{epoch:06d}.json.
 MANIFEST_RETENTION = 8
+
+
+def _versioned(table_dir: str, epoch: int) -> str:
+    return os.path.join(table_dir, f"manifest-{epoch:06d}.json")
 
 
 @dataclass
@@ -146,17 +152,12 @@ def init_table(
     event_time_col: str = "",
     sum_cols: list[str] | None = None,
     skip_cols: list[str] | None = None,
-    store: str = "posix",
 ) -> Manifest:
     """Create an empty table layout + manifest v0 (idempotent, the analog of
     the reference's ``CREATE TABLE IF NOT EXISTS`` DDL path,
     /root/reference/etl/core/schema.py:16-24). Hash-partitioned tables
     pre-create their fixed partition set; time-partitioned tables start empty
-    (partitions appear as their months do).
-
-    ``store`` picks the commit protocol: ``"posix"`` (rename + flock,
-    default) or ``"object"`` (conditional-put manifest swap, no rename/lock
-    — see ``state/store.py``). Immutable after creation."""
+    (partitions appear as their months do)."""
     if mode not in ("upsert", "append", "sum", "collapse"):
         raise ValueError(
             f"unknown table mode {mode!r} (upsert|append|sum|collapse)"
@@ -243,20 +244,9 @@ def init_table(
             f"hash partition_spec num ({spec.get('num')}) must equal "
             f"num_partitions ({num_partitions})"
         )
-    if store not in ("posix", "object"):
-        raise ValueError(f"unknown store {store!r} (posix|object)")
-    if store == "object":
-        # marker precedes the first commit so every subsequent read/commit
-        # dispatches to the conditional-put protocol
-        mark_object_store(table_dir)
-    existing = os.path.join(table_dir, MANIFEST_NAME)
-    if os.path.exists(existing) or (
-        store_kind(table_dir) == "object" and retained_epochs(table_dir)
-    ):
-        # idempotent re-create; the object-mode pointer may lag the
-        # committed versions (crash between version PUT and pointer PUT)
-        return load_manifest(table_dir)
     os.makedirs(os.path.join(table_dir, "parts"), exist_ok=True)
+    if retained_epochs(table_dir):
+        return load_manifest(table_dir)  # idempotent re-create
     partitions = (
         {str(pid): empty_partition() for pid in range(num_partitions)}
         if spec.get("kind") == "hash"
@@ -275,7 +265,10 @@ def init_table(
         sum_cols=list(sum_cols or []),
         skip_cols=list(skip_cols or []),
     )
-    commit_manifest(man)
+    try:
+        commit_manifest(man)
+    except ConcurrentCommitError:
+        return load_manifest(table_dir)  # a racing init committed first
     return man
 
 
@@ -284,27 +277,33 @@ def load_manifest(table_dir: str, epoch: int | None = None) -> Manifest:
     every commit also writes ``manifest-{epoch:06d}.json`` and keeps the last
     ``MANIFEST_RETENTION`` of them; file GC preserves any file referenced by
     a retained manifest, so historical snapshots stay readable — the
-    Iceberg/Delta snapshot-isolation idea on the same atomic-swap commit).
+    Iceberg/Delta snapshot-isolation idea on the same put-if-absent commit).
 
-    Object-store tables resolve the CURRENT manifest by listing versioned
-    manifests and reading the max — ``manifest.json`` is only a pointer
-    there and may lag a crash between the version PUT (the commit point)
-    and the pointer PUT."""
-    name = MANIFEST_NAME if epoch is None else f"manifest-{epoch:06d}.json"
-    if epoch is None and store_kind(table_dir) == "object":
-        eps = retained_epochs(table_dir)
-        if eps:
-            name = f"manifest-{eps[-1]:06d}.json"
-    try:
-        with open(os.path.join(table_dir, name)) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        if epoch is not None:
-            raise ValueError(
-                f"epoch {epoch} is not retained (retention="
-                f"{MANIFEST_RETENTION}); available: {retained_epochs(table_dir)}"
-            ) from None
-        raise
+    The CURRENT manifest is the highest versioned manifest a LIST returns."""
+    while True:
+        head = epoch
+        if head is None:
+            try:
+                eps = retained_epochs(table_dir)
+            except FileNotFoundError:
+                eps = []
+            if not eps:
+                raise FileNotFoundError(
+                    errno.ENOENT, "no committed manifest",
+                    os.path.join(table_dir, "manifest-*.json"),
+                )
+            head = eps[-1]
+        try:
+            with open(_versioned(table_dir, head)) as f:
+                doc = json.load(f)
+            break
+        except FileNotFoundError:
+            if epoch is not None:
+                raise ValueError(
+                    f"epoch {epoch} is not retained (retention="
+                    f"{MANIFEST_RETENTION}); available: {retained_epochs(table_dir)}"
+                ) from None
+            # the listed head was superseded and pruned before the open
     return Manifest(
         table_dir=table_dir,
         num_partitions=doc["num_partitions"],
@@ -327,10 +326,11 @@ def load_manifest(table_dir: str, epoch: int | None = None) -> Manifest:
 
 
 def atomic_json_write(path: str, doc: dict, fsync_dir: bool = True) -> None:
-    """THE atomic JSON commit (manifest, registry, MV specs all use it):
-    pid-suffixed tmp name (two concurrent writers never interleave bytes in
-    one tmp file), content fsync, atomic rename, parent-directory fsync (the
-    rename itself must be durable before anything references the file)."""
+    """Atomic JSON replace for documents that are NOT table commits (registry,
+    MV specs, artifacts, bpe): pid-suffixed tmp name (two concurrent writers
+    never interleave bytes in one tmp file), content fsync, atomic rename,
+    parent-directory fsync (the rename itself must be durable before anything
+    references the file)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(doc, f, indent=1)
@@ -338,22 +338,22 @@ def atomic_json_write(path: str, doc: dict, fsync_dir: bool = True) -> None:
         os.fsync(f.fileno())
     os.replace(tmp, path)
     if fsync_dir:
-        dfd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-        try:
-            os.fsync(dfd)
-        finally:
-            os.close(dfd)
+        fsync_path(os.path.dirname(os.path.abspath(path)))
 
 
-def commit_manifest(man: Manifest, allow_overwrite_version: bool = False) -> None:
-    """Atomic manifest swap (posix: tmp write + fsync + os.replace; object
-    store: conditional PUT of the versioned manifest — see state/store.py).
+def commit_manifest(man: Manifest) -> None:
+    """Commit ``man`` as epoch ``man.epoch``: put-if-absent of
+    ``manifest-{epoch:06d}.json`` (the commit point, see state/store.py),
+    then prune versions beyond the retention window.
 
-    ``allow_overwrite_version`` is the fsck-repair escape hatch: repairs
-    persist metadata fixes at the SAME epoch, which on an object store means
-    overwriting an existing versioned manifest instead of the normal
-    put-if-absent commit. Maintenance-only; every epoch-advancing commit
-    must leave it False so racing writers keep losing loudly."""
+    Raises :class:`ConcurrentCommitError` when another writer committed
+    this epoch first — and also when a HIGHER version already exists. Then
+    this epoch was committed and pruned while the caller was more than
+    ``retention`` epochs stale; the put only succeeded because the key was
+    gone, and listing readers would never see it, so the version is removed
+    again. (The listing follows the link at once; a writer that read this
+    version would need its own fsynced part and manifest writes to commit on
+    top of it, which cannot finish in that window.)"""
     man.updated_at = time.time()
     doc = {
         "version": 2,
@@ -374,30 +374,21 @@ def commit_manifest(man: Manifest, allow_overwrite_version: bool = False) -> Non
         "event_time_watermark_us": man.event_time_watermark_us,
         "skip_cols": man.skip_cols,
     }
-    path = os.path.join(man.table_dir, MANIFEST_NAME)
-    versioned = os.path.join(man.table_dir, f"manifest-{man.epoch:06d}.json")
-    if store_kind(man.table_dir) == "object":
-        # object-store protocol: the CONDITIONAL PUT of the immutable
-        # versioned manifest IS the commit point (exactly one of N racing
-        # writers wins — the Delta/Iceberg metadata swap); the current
-        # pointer is a best-effort overwrite PUT readers don't rely on.
-        # No os.replace, no flock anywhere on this path.
-        if allow_overwrite_version:
-            put_json_object(versioned, doc)
-        else:
-            put_json_if_absent(versioned, doc)
-        put_json_object(path, doc)
-    else:
-        # posix protocol: versioned copy first (readable only once the swap
-        # lands), then the atomic rename swap that makes this epoch current;
-        # both writes fsync content and directory (a power loss must not
-        # resurface the previous manifest after the caller reported the
-        # epoch committed — parts are fsynced before this, see
-        # stages/merge.py write_part_tmp / promote_part)
-        atomic_json_write(versioned, doc, fsync_dir=False)
-        atomic_json_write(path, doc)
-    for old in retained_epochs(man.table_dir)[: -man.retention]:
-        os.remove(os.path.join(man.table_dir, f"manifest-{old:06d}.json"))
+    path = _versioned(man.table_dir, man.epoch)
+    put_json_if_absent(path, doc)
+    eps = retained_epochs(man.table_dir)
+    if eps[-1] > man.epoch:
+        os.remove(path)
+        raise ConcurrentCommitError(
+            f"stale commit: epoch {man.epoch} is behind the table head "
+            f"{eps[-1]}; re-read table state and retry"
+        )
+    fsync_path(man.table_dir)
+    for old in eps[: -man.retention]:
+        try:
+            os.remove(_versioned(man.table_dir, old))
+        except FileNotFoundError:
+            pass  # a concurrent committer pruned it first
 
 
 def retained_epochs(table_dir: str) -> list[int]:
@@ -405,112 +396,54 @@ def retained_epochs(table_dir: str) -> list[int]:
     out = []
     for name in os.listdir(table_dir):
         if name.startswith("manifest-") and name.endswith(".json"):
-            out.append(int(name[len("manifest-"):-len(".json")]))
+            stamp = name[len("manifest-"):-len(".json")]
+            if stamp.isdigit():
+                out.append(int(stamp))
     return sorted(out)
 
 
-def gc_stale_files(man: Manifest, min_age_s: float = 0.0) -> int:
-    """Remove snapshot/tmp files referenced by NO retained manifest (fully
-    dead epochs, leftover tmps from crashed runs). Files still referenced by
-    a retained historical manifest survive so time-travel reads keep working.
-    Returns count removed.
-
-    ``min_age_s`` is the object-store grace period (the Delta VACUUM
-    retention idea): with optimistic concurrency a racing writer may have
-    live *uncommitted* parts on disk, so object-mode auto-GC only removes
-    unreferenced files older than the grace window. Posix tables hold the
-    flock while writing, so 0 is safe there."""
-    import time as _time
-
-    now = _time.time()
-    live = {os.path.join(man.table_dir, f) for p in man.partitions.values() for f in p["files"]}
-    for ep in retained_epochs(man.table_dir):
-        try:
-            hist = load_manifest(man.table_dir, epoch=ep)
-        except (ValueError, FileNotFoundError):
-            continue
-        live |= {
-            os.path.join(man.table_dir, f)
-            for p in hist.partitions.values()
-            for f in p["files"]
-        }
-    removed = 0
-    parts_root = os.path.join(man.table_dir, "parts")
-    for root, _dirs, names in os.walk(parts_root):
+def stale_files(table_dir: str, man: Manifest | None = None) -> list[str]:
+    """Files under ``parts/`` (table-relative) that no retained manifest
+    references and whose name does not stamp an epoch newer than the
+    committed head. A newer stamp belongs to a writer still working on the
+    next epoch; a writer working on an epoch at or below the head loses its
+    manifest put, so its parts are dead. ``man`` (a manifest already in
+    hand, e.g. the one just committed) saves re-reading its version."""
+    eps = retained_epochs(table_dir)
+    head = max(eps[-1] if eps else 0, man.epoch if man else 0)
+    live: set[str] = set()
+    for ep in eps:
+        if man is not None and ep == man.epoch:
+            m = man
+        else:
+            try:
+                m = load_manifest(table_dir, epoch=ep)
+            except ValueError:
+                if ep == eps[-1]:
+                    return []  # head pruned mid-walk: no safe live set
+                continue  # pruned mid-walk: its files are dead or live above
+        live.update(f for p in m.partitions.values() for f in p["files"])
+    if man is not None:
+        live.update(f for p in man.partitions.values() for f in p["files"])
+    out = []
+    for root, _dirs, names in os.walk(os.path.join(table_dir, "parts")):
         for name in names:
-            path = os.path.join(root, name)
-            if path not in live:
-                if min_age_s > 0:
-                    try:
-                        if now - os.path.getmtime(path) < min_age_s:
-                            continue
-                    except OSError:
-                        continue
-                os.remove(path)
-                removed += 1
-    return removed
+            rel = os.path.relpath(os.path.join(root, name), table_dir)
+            if rel not in live and (part_epoch(name) or 0) <= head:
+                out.append(rel)
+    return out
 
 
-class TableLockError(RuntimeError):
-    """Another live process is committing to this table."""
-
-
-class table_lock:
-    """Single-writer advisory lock via ``flock`` on a permanent lock file.
-    The commit protocol assumes one driver per table — two concurrent epochs
-    would silently last-write-win the manifest swap and orphan one epoch's
-    files.
-
-    ``flock`` is owned by the open fd, so the kernel releases it the instant
-    a crashed owner dies — no staleness judgment, no reclaim, and none of
-    the TOCTOU holes the previous pid-file scheme had (an empty just-created
-    pid file read as "dead", or a reclaim rename stealing a racer's freshly
-    acquired live lock). The file itself is never unlinked: unlink+recreate
-    would let two processes flock DIFFERENT inodes at the same path. The
-    owner pid is written into the file for diagnostics only.
-
-    Scope: correct for a single node (the sandbox; the driver runs one
-    process per table). On a multi-node deployment the single-writer claim
-    moves to the coordination layer that launches drivers (the same place
-    the reference's docker-compose implicitly puts it — it has NO guard and
-    runs concurrent batch + streaming writers against the same ClickHouse
-    tables, /root/reference/docker-compose.yaml).
-
-    OBJECT-STORE tables skip the lock entirely (object stores have no
-    advisory locks): concurrency there is optimistic — racing writers both
-    run, and the conditional-put manifest swap picks exactly one winner;
-    the loser raises ConcurrentCommitError and retries from fresh state.
-    """
-
-    def __init__(self, table_dir: str):
-        self.path = os.path.join(table_dir, "table.lock")
-        self.fd = None
-        self._object = store_kind(table_dir) == "object"
-
-    def __enter__(self):
-        if self._object:
-            return self
-        import fcntl
-
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+def gc_stale_files(man: Manifest) -> int:
+    """Remove :func:`stale_files`: crashed or losing writers' parts and
+    parts only dead epochs referenced. Files still referenced by a retained
+    historical manifest survive, so time-travel reads keep working. Needs no
+    lock and no grace window. Returns count removed."""
+    removed = 0
+    for rel in stale_files(man.table_dir, man):
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            os.close(fd)
-            raise TableLockError(
-                f"table is locked by a live writer ({self.path})"
-            ) from None
-        self.fd = fd
-        os.ftruncate(fd, 0)
-        os.write(fd, str(os.getpid()).encode())
-        return self
-
-    def __exit__(self, *exc):
-        import fcntl
-
-        if self.fd is not None:
-            os.ftruncate(self.fd, 0)
-            fcntl.flock(self.fd, fcntl.LOCK_UN)
-            os.close(self.fd)
-            self.fd = None
-        return False
+            os.remove(os.path.join(man.table_dir, rel))
+            removed += 1
+        except FileNotFoundError:
+            pass  # a concurrent GC removed it first
+    return removed

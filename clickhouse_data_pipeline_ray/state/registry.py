@@ -59,19 +59,25 @@ def table_dir(root: str, name: str) -> str:
     return os.path.join(root, "tables", name)
 
 
-class _registry_lock:
-    """flock on a permanent lake-level lock file (the table_lock scheme):
-    guards the registry.json read-modify-write in register_table."""
+class file_lock:
+    """Blocking ``flock`` on a permanent lock file: guards a read-modify-write
+    of the non-table documents beside it (the lake registry, an MV's spec
+    and state). Table commits take no lock; see state/store.py.
 
-    def __init__(self, root: str):
-        self.path = os.path.join(root, "registry.lock")
+    ``flock`` is owned by the open fd, so the kernel releases it the instant
+    a crashed owner dies — no staleness judgment. The file itself is never
+    unlinked: unlink+recreate would let two processes flock DIFFERENT inodes
+    at the same path."""
+
+    def __init__(self, path: str):
+        self.path = path
         self.fd = None
 
     def __enter__(self):
         import fcntl
 
         self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
-        fcntl.flock(self.fd, fcntl.LOCK_EX)  # blocking: registration is rare
+        fcntl.flock(self.fd, fcntl.LOCK_EX)
         return self
 
     def __exit__(self, *exc):
@@ -143,9 +149,8 @@ def register_table(
     os.makedirs(root, exist_ok=True)
     # lake-level registration lock: the registry read-modify-write below is
     # not atomic on its own — two concurrent registrations would each save a
-    # map missing the other's table (last rename wins). Same flock scheme as
-    # the per-table single-writer lock.
-    with _registry_lock(root):
+    # map missing the other's table (last rename wins).
+    with file_lock(os.path.join(root, "registry.lock")):
         tables = load_registry(root)
         missing = [d for d in depends_on if d not in tables]
         if missing:
@@ -272,12 +277,12 @@ def lake_epochs(root: str) -> list[int]:
 
 def commit_lake_epoch(root: str) -> dict:
     """Atomically commit the current {table → epoch} vector as the next lake
-    epoch (versioned copy + pointer swap, the manifest commit discipline).
+    epoch (versioned copy + pointer swap under the registry lock).
     The pinned-read window is bounded by BOTH retentions: a lake epoch is
     readable while every table still retains its pinned manifest epoch."""
     import time as _time
 
-    with _registry_lock(root):
+    with file_lock(os.path.join(root, "registry.lock")):
         vector = {
             name: load_manifest(table_dir(root, name)).epoch
             for name in sorted(load_registry(root))

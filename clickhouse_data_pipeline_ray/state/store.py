@@ -1,46 +1,28 @@
-"""Pluggable table-storage commit protocols (posix rename vs object-store
-conditional put).
+"""The table commit protocol: write-once parts, put-if-absent manifests.
 
-The engine's exactly-once story rests on three primitives: durable part
-writes, a part "promotion" step, and an atomic manifest swap. On a POSIX
-filesystem those are tmp+fsync+``os.replace`` plus a ``flock`` single-writer
-lock — correct on one node, but a real multi-node cluster writes to
-S3/GCS-style object storage where *rename is not atomic* and *there are no
-advisory locks*. This module abstracts the difference:
+Every table commits the same way, on a local filesystem or on an
+S3/GCS-style object store (no atomic rename, no advisory locks):
 
-- ``"posix"`` (default): today's semantics — atomic tmp+fsync+``os.replace``
-  writes, worker ``.tmp`` parts renamed to final names at commit, ``flock``
-  single-writer exclusion. Correct on any local/POSIX filesystem.
+- **Parts are written once under writer-unique names.** A worker names each
+  part ``{kind}-{epoch:06d}-{token}.parquet`` with a fresh random token,
+  creates it with ``O_EXCL``, writes it and fsyncs it. No file is ever
+  renamed or overwritten, so a losing or retried writer can never touch a
+  part another writer committed, and no byte-determinism is assumed. A part
+  is invisible until a committed manifest references it.
+- **The commit point is a conditional put** of the immutable versioned
+  manifest ``manifest-{epoch:06d}.json`` (HTTP ``If-None-Match: *`` / GCS
+  ``ifGenerationMatch=0``; the commit primitive of the Delta Lake and
+  Apache Iceberg protocols). Exactly one of N racing writers wins; the
+  others get :class:`ConcurrentCommitError`, re-read the table and retry.
+- **Readers resolve the current epoch by listing** the versioned manifests
+  and taking the max. There is no pointer file.
 
-- ``"object"``: the S3/GCS model — no rename, no locks; the store guarantees
-  whole-object PUTs are atomic and offers *conditional* put-if-absent
-  (HTTP ``If-None-Match: *`` / GCS ``ifGenerationMatch=0`` — public API
-  surface, and the commit primitive the Delta Lake / Apache Iceberg commit
-  protocols are built on). The commit point becomes a conditional PUT of the
-  immutable versioned manifest ``manifest-{epoch:06d}.json``; exactly one of
-  two racing writers wins, the loser gets :class:`ConcurrentCommitError` and
-  must re-read the table state and retry. ``manifest.json`` remains as a
-  non-authoritative *pointer* (status/debug convenience); readers resolve
-  the current epoch by LISTing versioned manifests and taking the max, so a
-  crash between the version PUT and the pointer PUT is harmless. Part files
-  are PUT directly at their final (deterministic, epoch-stamped) keys —
-  invisible until a committed manifest references them, orphaned if the
-  commit loses, and garbage-collected only after a grace period (racing
-  in-flight writers may have live uncommitted parts; the Delta VACUUM
-  retention idea).
-
-The local-filesystem *simulation* of the object backend realizes "the
-store's atomic PUT" with a hard-link publish of a fully-written, fsynced
-staging file (``os.link`` fails atomically with EEXIST when the key exists
-— the put-if-absent semantics). That link is an implementation detail
-standing in for the object store's own atomicity contract; the PROTOCOL
-never calls ``os.replace`` or ``flock`` in object mode, and the tests pin
-that by making both raise during an object-mode epoch.
-
-Reference analog: the reference has NO multi-writer or crash story at all —
-its docker-compose runs concurrent batch + streaming writers against the
-same ClickHouse tables unguarded, and its batch watermark is in-memory
-(/root/reference/etl/core/pipeline.py:197-202).
+On a local filesystem the store's atomic put is simulated by a hard-link
+publish of a fully-written, fsynced staging file: ``os.link`` fails
+atomically with EEXIST when the key exists, which is put-if-absent. Staging
+is used for manifests only, because a listing reader must never see a
+half-written manifest; parts need none, because readers only open parts a
+committed manifest names.
 """
 
 from __future__ import annotations
@@ -48,39 +30,14 @@ from __future__ import annotations
 import json
 import os
 
-STORE_MARKER = "_store.json"
-
 
 class ConcurrentCommitError(RuntimeError):
     """Another writer committed this table epoch first (the conditional
-    manifest PUT lost). Re-read the table state and retry the operation."""
+    manifest put lost). Re-read the table state and retry the operation."""
 
 
-def mark_object_store(table_dir: str) -> None:
-    """Stamp a table directory as object-store-backed (written once at
-    ``init_table`` time, before the first manifest commit; immutable)."""
-    os.makedirs(table_dir, exist_ok=True)
-    path = os.path.join(table_dir, STORE_MARKER)
-    if os.path.exists(path):
-        return
-    put_json_object(path, {"kind": "object"})
-
-
-def store_kind(table_dir: str) -> str:
-    """``"object"`` when the table carries the marker, else ``"posix"``.
-    One stat per call — negligible next to any parquet or manifest I/O,
-    and safe across tables created/removed at the same path."""
-    try:
-        with open(os.path.join(table_dir, STORE_MARKER)) as f:
-            return json.load(f).get("kind", "posix")
-    except (FileNotFoundError, NotADirectoryError, json.JSONDecodeError):
-        return "posix"
-
-
-# --------------------------------------------------------- object primitives
-
-
-def _fsync_file(path: str) -> None:
+def fsync_path(path: str) -> None:
+    """fsync a file's data (or a directory's entries) by path."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -88,87 +45,52 @@ def _fsync_file(path: str) -> None:
         os.close(fd)
 
 
-def _staging_name(final_path: str) -> str:
-    # pid-unique staging key: two writers never interleave bytes. The
-    # ".staged." infix keeps it out of retained_epochs / part listings.
-    d, name = os.path.split(final_path)
-    return os.path.join(d, f".staged.{name}.{os.getpid()}")
+def unique_token() -> str:
+    return os.urandom(6).hex()
 
 
-def _publish(staging: str, final_path: str, if_absent: bool) -> bool:
-    """Atomically make a fully-written staging file visible at
-    ``final_path`` — the simulated atomic PUT. Returns False when
-    ``if_absent`` and the key already exists (conditional put lost)."""
-    _fsync_file(staging)
-    try:
-        if not if_absent:
-            # overwrite PUT: last-writer-wins, like S3. The unlink+link pair
-            # is not atomic for a concurrent OVERWRITE racer, so retry the
-            # link; every overwrite-put caller writes deterministic bytes
-            # for the key, making the race benign.
-            for _ in range(8):
-                try:
-                    os.unlink(final_path)
-                except FileNotFoundError:
-                    pass
-                try:
-                    os.link(staging, final_path)
-                    return True
-                except FileExistsError:
-                    continue
-            return True  # racer published equivalent bytes
-        try:
-            os.link(staging, final_path)
-            return True
-        except FileExistsError:
-            return False
-    finally:
-        os.unlink(staging)
-        d = os.path.dirname(os.path.abspath(final_path))
-        try:
-            fd = os.open(d, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        except OSError:
-            pass
+def part_name(kind: str, epoch: int) -> str:
+    """A fresh writer-unique part file name stamped with its epoch."""
+    return f"{kind}-{epoch:06d}-{unique_token()}.parquet"
 
 
-def put_json_object(path: str, doc: dict) -> None:
-    """Object-mode overwrite PUT of a JSON document."""
-    staging = _staging_name(path)
-    with open(staging, "w") as f:
-        json.dump(doc, f, indent=1)
+def part_epoch(name: str) -> int | None:
+    """The epoch stamped into a part file name, or None for a name this
+    protocol did not write."""
+    fields = name.split("-", 2)
+    if len(fields) == 3 and fields[1].isdigit() and fields[2].endswith(".parquet"):
+        return int(fields[1])
+    return None
+
+
+def write_file_once(path: str, write_fn) -> int:
+    """Create ``path`` exclusively, let ``write_fn(file)`` fill it, fsync
+    it. Returns the file size."""
+    with open(path, "xb") as f:
+        write_fn(f)
         f.flush()
         os.fsync(f.fileno())
-    _publish(staging, path, if_absent=False)
+        return f.tell()
 
 
 def put_json_if_absent(path: str, doc: dict) -> None:
-    """Object-mode CONDITIONAL PUT — the commit point. Raises
+    """CONDITIONAL PUT of a JSON document: the commit point. The staging
+    file is written and fsynced once, then linked to ``path``, which fails
+    atomically when the key exists; the directory is fsynced only by the
+    caller, once it knows the put stands. Raises
     :class:`ConcurrentCommitError` when the key already exists."""
-    staging = _staging_name(path)
+    d, name = os.path.split(path)
+    staging = os.path.join(d, f".staged.{name}.{unique_token()}")
     with open(staging, "w") as f:
         json.dump(doc, f, indent=1)
         f.flush()
         os.fsync(f.fileno())
-    if not _publish(staging, path, if_absent=True):
+    try:
+        os.link(staging, path)
+    except FileExistsError:
         raise ConcurrentCommitError(
             f"conditional put lost: {path} already exists (another writer "
             "committed this epoch first; re-read table state and retry)"
-        )
-
-
-def put_file_object(final_path: str, write_fn) -> int:
-    """Object-mode PUT of a data file: ``write_fn(staging_path)`` produces
-    the bytes (e.g. a parquet write), then the staging file is published
-    atomically at the final key. Overwrite-legal: part names are
-    deterministic per (pid, epoch, kind), so a retried epoch re-puts
-    identical bytes. Returns the file size."""
-    os.makedirs(os.path.dirname(final_path), exist_ok=True)
-    staging = _staging_name(final_path)
-    write_fn(staging)
-    size = os.path.getsize(staging)
-    _publish(staging, final_path, if_absent=False)
-    return size
+        ) from None
+    finally:
+        os.unlink(staging)

@@ -8,10 +8,18 @@ final snapshot must equal this per-row, including token-array equality.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from clickhouse_data_pipeline_ray.sources.wal import list_segments
+from clickhouse_data_pipeline_ray.state.manifest import retained_epochs
+
+
+def head_manifest_path(table_dir: str) -> str:
+    """The table's current (highest) versioned manifest."""
+    return os.path.join(table_dir, f"manifest-{retained_epochs(table_dir)[-1]:06d}.json")
 
 
 def replay_oracle(wal_dir: str, upto_lsn: int | None = None) -> pa.Table:

@@ -1,6 +1,6 @@
 """Compaction exactly-once: a crash mid-compaction must leave the committed
 manifest (and therefore reads) untouched, and a re-run must converge — the
-same tmp-write → rename-all → atomic-swap protocol as apply epochs."""
+same write-once parts → manifest put protocol as apply epochs."""
 
 import os
 
@@ -14,7 +14,9 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
     snapshot_table,
 )
 from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
-from clickhouse_data_pipeline_ray.state.manifest import load_manifest
+from clickhouse_data_pipeline_ray.state.manifest import load_manifest, stale_files
+
+from .helpers import head_manifest_path
 
 PARAMS = GenParams(
     total_events=4_000, base_events=1_000, events_per_segment=500, seed=53,
@@ -36,28 +38,40 @@ def test_crash_mid_compaction_is_invisible(ray_session, wal, tmp_path, monkeypat
            ApplyConfig(max_segments=1, salt_factor=1, compact_threshold=100),
            final_compact=False)
     before_snap = snapshot_table(table_dir)
-    before_man = open(os.path.join(table_dir, "manifest.json")).read()
+    head = head_manifest_path(table_dir)
+    before_man = open(head).read()
+    before_parts = {
+        os.path.join(r, f)
+        for r, _d, fs in os.walk(os.path.join(table_dir, "parts"))
+        for f in fs
+    }
 
-    # Crash injection: the driver dies after the workers wrote their tmp
-    # files but before any rename — simulated by failing the rename step.
+    # Crash injection: the driver dies after the workers wrote their parts
+    # but before the commit — simulated by failing the first driver step.
     import clickhouse_data_pipeline_ray.pipelines.apply as apply_mod
 
-    real_replace = os.replace
     calls = {"n": 0}
 
-    def failing_replace(src, dst):
+    def failing_promote(table_dir, rel):
         calls["n"] += 1
         raise OSError("injected crash during compaction commit")
 
-    monkeypatch.setattr(apply_mod.os, "replace", failing_replace)
+    monkeypatch.setattr(apply_mod, "promote_part", failing_promote)
     with pytest.raises(OSError, match="injected crash"):
         compact_table(table_dir)
-    monkeypatch.setattr(apply_mod.os, "replace", real_replace)
+    monkeypatch.undo()
     assert calls["n"] == 1
 
-    # Committed state is untouched: same manifest bytes, same reads.
-    assert open(os.path.join(table_dir, "manifest.json")).read() == before_man
+    # Committed state is untouched: same head manifest bytes, same reads.
+    assert head_manifest_path(table_dir) == head
+    assert open(head).read() == before_man
     assert snapshot_table(table_dir).equals(before_snap)
+    crashed = {
+        os.path.join(r, f)
+        for r, _d, fs in os.walk(os.path.join(table_dir, "parts"))
+        for f in fs
+    } - before_parts
+    assert crashed
 
     # Recovery: a clean re-run compacts everything and preserves state.
     stats = compact_table(table_dir)
@@ -65,14 +79,9 @@ def test_crash_mid_compaction_is_invisible(ray_session, wal, tmp_path, monkeypat
     man = load_manifest(table_dir)
     assert all(len(p["files"]) <= 1 for p in man.partitions.values())
     assert snapshot_table(table_dir).equals(before_snap)
-    # leftover tmp files from the crashed run were GC'd at commit
-    stray = [
-        os.path.join(r, f)
-        for r, _d, fs in os.walk(os.path.join(table_dir, "parts"))
-        for f in fs
-        if ".tmp" in f
-    ]
-    assert not stray, stray
+    # leftover parts from the crashed run were GC'd at commit
+    assert not [f for f in crashed if os.path.exists(f)]
+    assert not stale_files(table_dir)
 
 
 def test_size_tiered_auto_compaction(ray_session, wal, tmp_path):

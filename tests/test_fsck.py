@@ -17,6 +17,8 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
 from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
 from clickhouse_data_pipeline_ray.state.fsck import fsck_table
 
+from .helpers import head_manifest_path
+
 
 @pytest.fixture()
 def table(ray_session, tmp_path):
@@ -62,7 +64,7 @@ def test_orphan_and_tmp_found_and_repaired(ray_session, table):
 
 
 def test_missing_file_is_error(ray_session, table):
-    man = json.load(open(os.path.join(table, "manifest.json")))
+    man = json.load(open(head_manifest_path(table)))
     victim = None
     for p in man["partitions"].values():
         if p["files"]:
@@ -75,7 +77,7 @@ def test_missing_file_is_error(ray_session, table):
 
 
 def test_row_mismatch_is_error(ray_session, table):
-    path = os.path.join(table, "manifest.json")
+    path = head_manifest_path(table)
     man = json.load(open(path))
     for p in man["partitions"].values():
         if p.get("exact_rows") and p["files"]:
@@ -88,7 +90,7 @@ def test_row_mismatch_is_error(ray_session, table):
 
 
 def test_bad_history_is_error(ray_session, table):
-    path = os.path.join(table, "manifest.json")
+    path = head_manifest_path(table)
     man = json.load(open(path))
     man["history"].append({"epoch": man["epoch"] + 5})
     json.dump(man, open(path, "w"))

@@ -300,6 +300,8 @@ def test_fsck_detects_and_repairs_stale_zone(ray_session, tmp_path):
     man.partitions[pid]["zones"]["parts/pid=00000/ghost.parquet"] = {
         "n_tok": [0, 1]
     }
+    man.epoch += 1  # committed versions are immutable: inject as the next epoch
+    man.history.append({"epoch": man.epoch})
     commit_manifest(man)
     rep = fsck_table(table)
     assert any(f["check"] == "stale_zone" for f in rep["findings"])

@@ -27,6 +27,8 @@ from clickhouse_data_pipeline_ray.sources.gen import FactGenParams, generate_fac
 from clickhouse_data_pipeline_ray.sources.wal import segment_path
 from clickhouse_data_pipeline_ray.state.manifest import load_manifest
 
+from .helpers import head_manifest_path
+
 TIME_SPEC = {"kind": "time", "col": "event_ts", "granularity": "month"}
 PARAMS = FactGenParams(total_events=4_000, events_per_segment=1_000, seed=91)
 
@@ -101,9 +103,11 @@ def test_ttl_exact_month_start_never_rewrites(ray_session, fact_wal, tmp_path):
 def test_ttl_idempotent_and_noop(ray_session, fact_wal, tmp_path):
     table = _time_table(tmp_path, fact_wal)
     # cutoff before all data: nothing expires, manifest untouched
-    man_before = open(os.path.join(table, "manifest.json")).read()
+    head = head_manifest_path(table)
+    man_before = open(head).read()
     assert ttl_expire(table, "event_ts", "2023-01-01T00:00:00") is None
-    assert open(os.path.join(table, "manifest.json")).read() == man_before
+    assert head_manifest_path(table) == head
+    assert open(head).read() == man_before
 
     assert ttl_expire(table, "event_ts", "2024-02-15T00:00:00") is not None
     # second run at the same cutoff: boundary month's rewritten file now has
