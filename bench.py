@@ -360,7 +360,7 @@ def bench_storage_ops(ray) -> dict:
             num_partitions=64,
         )
         t0 = time.perf_counter()
-        replay(ctab, cwal, ApplyConfig(write_mode="delta"), final_compact=False)
+        replay(ctab, cwal, ApplyConfig(), final_compact=False)
         out["cdc_collapse_replay"] = round(time.perf_counter() - t0, 3)
     finally:
         shutil.rmtree(ctab, ignore_errors=True)

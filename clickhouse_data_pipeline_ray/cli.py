@@ -136,11 +136,6 @@ def _run(argv: list[str] | None = None) -> int:
     sp.add_argument("--once", action="store_true", help="apply one epoch only")
     sp.add_argument("--follow", action="store_true", help="poll for new segments")
     sp.add_argument("--interval", type=float, default=5.0)
-    sp.add_argument(
-        "--write-mode", choices=("delta", "snapshot"), default="delta",
-        help="delta: append O(changes) per-partition deltas (MERGE-on-read); "
-             "snapshot: rewrite touched partitions each epoch",
-    )
     sp.add_argument("--refresh-mvs", action="store_true",
                     help="fold each committed epoch into all registered "
                          "materialized views (the ClickHouse MV "
@@ -149,7 +144,8 @@ def _run(argv: list[str] | None = None) -> int:
                     help="seconds of event-time lateness tolerated before an "
                          "arrival counts as late (event_time_col tables only)")
     sp.add_argument("--compact-threshold", type=int, default=8,
-                    help="compact a partition when its file chain reaches this")
+                    help="compact a partition when its file chain reaches this "
+                         "(1 = rewrite touched partitions every epoch)")
     sp.add_argument("--auto-compact", type=float, default=None, metavar="RATIO",
                     help="size-tiered background compaction: after each "
                          "committed epoch, compact partitions whose delta "
@@ -1145,7 +1141,6 @@ def _run(argv: list[str] | None = None) -> int:
                     max_segments=args.epoch_segments,
                     salt_factor=args.salt_factor,
                     hot_ratio=args.hot_ratio,
-                    write_mode=args.write_mode,
                     compact_threshold=args.compact_threshold,
                     allowed_lateness_s=args.allowed_lateness,
                     dlq_dir=args.dlq,

@@ -2458,7 +2458,8 @@ def span_dedup(
 
     Output per doc: ``(key, text_clean, n_words, n_removed_words)`` — docs
     whose every word was covered by duplicate spans come back empty-text
-    (callers typically drop ``text_clean == ""``).
+    (callers typically drop ``text_clean == ""``); a null-text doc comes
+    back with null ``text_clean`` and nothing removed.
 
     Plan — two bucket shuffles, no all-pairs, the corpus text crosses the
     wire once:
@@ -2541,6 +2542,8 @@ def span_dedup(
                 "text": b.column(text_col),
                 "pos": pa.nulls(b.num_rows, pa.int64()),
                 "kb": pa.array(kb),
+                # explicit side tag: a null-text document is still a document
+                "is_doc": pa.array(np.ones(b.num_rows, dtype=bool)),
             }
         )
 
@@ -2555,6 +2558,7 @@ def span_dedup(
                 "text": pa.nulls(b.num_rows, pa.string()),
                 "pos": b.column("pos"),
                 "kb": pa.array(kb),
+                "is_doc": pa.array(np.zeros(b.num_rows, dtype=bool)),
             }
         )
 
@@ -2564,8 +2568,8 @@ def span_dedup(
 
     def rebuild(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        docs = df[df["text"].notna()]
-        rems = df[df["text"].isna()]
+        docs = df[df["is_doc"]]
+        rems = df[~df["is_doc"]]
         by_key = rems.groupby("k")["pos"] if len(rems) else None
         # pos arrives float64 (the union's doc rows hold nulls in the column)
         rem_map = (
@@ -2575,6 +2579,12 @@ def span_dedup(
         )
         keys, cleans, n_words, n_removed = [], [], [], []
         for k, text in zip(docs["k"], docs["text"]):
+            if text is None:
+                keys.append(k)
+                cleans.append(None)
+                n_words.append(0)
+                n_removed.append(0)
+                continue
             words = text.split()
             n = len(words)
             starts = rem_map.get(k)

@@ -1027,7 +1027,7 @@ def refresh_table_ann_index(
     else:
         old = None
 
-    from ..pipelines.mv import _narrow_schema, _read_chain_columns
+    from ..stages.merge import read_partition_final
 
     vec_dir = os.path.join(index_dir, "vectors")
     cents_path = os.path.join(vec_dir, "_model", "centroids.npy")
@@ -1035,7 +1035,7 @@ def refresh_table_ann_index(
         old = None  # model missing/pre-relocation layout → full rebuild
         pids = all_pids
     full = old is None
-    narrow = _narrow_schema(man, [key_col, vec_col])
+    cols = [key_col, vec_col]
     if full:
         pids = all_pids
         # train the pinned coarse model on a snapshot sample
@@ -1044,7 +1044,9 @@ def refresh_table_ann_index(
             files = man.partitions[p].get("files") or []
             if not files:
                 continue
-            t = _read_chain_columns(table_dir, files, narrow, man.mode, man.sum_cols)
+            t = read_partition_final(
+                table_dir, files, man.schema, man.mode, man.sum_cols, columns=cols
+            )
             sample_parts.append(t)
             seen += t.num_rows
             if seen >= sample_rows:
@@ -1063,23 +1065,18 @@ def refresh_table_ann_index(
 
     if pids:
         files_by_pid = {p: (man.partitions[p].get("files") or []) for p in pids}
-        mode, man_sum_cols = man.mode, list(man.sum_cols)
+        schema, mode, man_sum_cols = man.schema, man.mode, list(man.sum_cols)
 
         def derive(batch: pa.Table) -> pa.Table:
-            # `narrow`/`mode` captured from the DRIVER's manifest snapshot —
+            # `schema`/`mode` captured from the DRIVER's manifest snapshot —
             # re-loading the manifest in the worker could pair a concurrent
             # commit's schema with this refresh's captured file chains
             out = []
             for pid in batch.column("pid").to_pylist():
                 files = files_by_pid.get(str(pid)) or []
-                snap = (
-                    _read_chain_columns(
-                        table_dir, files, narrow, mode, man_sum_cols
-                    )
-                    if files
-                    else narrow.empty_table()
-                )
-                snap = snap.select([key_col, vec_col])
+                snap = read_partition_final(
+                    table_dir, files, schema, mode, man_sum_cols, columns=cols
+                ).select(cols)
                 if snap.num_rows:
                     emb = _normalize(_to_matrix(snap.column(vec_col)))
                     assign = np.argmax(emb @ cents.T, axis=1).astype(np.int32)

@@ -20,20 +20,22 @@ detection uses the previous epoch's per-pid applied counts from the manifest
 materialization of the change set. Driver never holds row data — only O(P)
 stats rows from the merge stage.
 
-Write modes (``ApplyConfig.write_mode``): ``delta`` (default) appends
-O(changes) per-partition delta files and compacts when a partition's chain
-reaches ``compact_threshold`` — the MERGE-on-read scale path; ``snapshot``
-fully rewrites touched partitions every epoch (MERGE-on-write).
+Each epoch appends O(changes) per-partition delta files and folds a
+partition's chain into one snapshot when it reaches ``compact_threshold`` —
+the MERGE-on-read scale path; ``compact_threshold=1`` folds touched
+partitions every epoch (MERGE-on-write).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
@@ -51,13 +53,13 @@ from ..sources.wal import (
     segment_num_rows,
     segment_schema,
 )
-from ..stages.merge import MergeApply, promote_part
-from ..stages.normalize import (
-    compact_group,
-    make_collapse_compact_group,
-    make_normalize_fn,
-    make_sum_compact_group,
+from ..stages.merge import (
+    MergeApply,
+    collapse_winner_mask,
+    promote_part,
+    reduce_changes,
 )
+from ..stages.normalize import make_normalize_fn
 from ..state import manifest as manifest_mod
 from ..state.manifest import (
     ConcurrentCommitError,
@@ -82,22 +84,14 @@ class ApplyConfig:
     # that fills the cluster starves upstream read/normalize tasks (observed
     # livelock at num_cpus=2 with min=2).
     merge_concurrency: int | tuple = (1, 8)
-    batch_size: int | None = None         # normalize batch size (None = blocks)
-    gc: bool = True
-    # "delta": append O(changes) per-partition deltas, compact at threshold
-    # (MERGE-on-read — the 10^10-event scale path). "snapshot": rewrite
-    # touched partitions fully every epoch (MERGE-on-write).
-    write_mode: str = "delta"
+    # a partition's file chain folds into one snapshot when it would reach
+    # this many files (see MergeApply); 1 = MERGE-on-write every epoch
     compact_threshold: int = 8
     # late-data tolerance for event-time watermark accounting (only used by
     # tables with an event_time_col): an event is counted late when its event
     # time is more than this many seconds behind the committed event-time
     # watermark. 0 = strictly monotone expectation.
     allowed_lateness_s: float = 0.0
-    # "prev": predict hot pids from last epoch's manifest histogram (free);
-    # "scan": exact per-epoch counting pass (materializes the change set);
-    # "off": never salt.
-    hot_detect: str = "prev"
     # Epochs at or below this many raw events run normalize+merge DRIVER-SIDE
     # with the SAME kernels and commit protocol (identical results by
     # construction; pinned by tests): a Ray Dataset execution costs ~1 s of
@@ -229,51 +223,27 @@ def _worker_partitions(partitions: dict[str, dict]) -> dict[str, dict]:
         for pid, meta in partitions.items()
     }
 
-def _detect_hot_pids(
-    man: Manifest, changes: ray.data.Dataset, cfg: ApplyConfig
-) -> tuple[list[int], ray.data.Dataset]:
-    """Partitions whose change volume warrants two-level salted compaction.
-
-    Default (``hot_detect="prev"``): read the previous epoch's per-pid applied
-    histogram straight from the manifest — O(P) driver work, zero data passes;
-    CDC skew is sticky (a hot source stays hot across epochs), and salting is
-    correctness-neutral either way (max-LSN LWW is associative), so a
-    one-epoch prediction lag only costs a little balance on the first hot
-    epoch. ``"scan"`` runs an exact per-batch counting pass instead (the
-    combiner pattern: only tiny (pid, n) partials leave the map stage) at the
-    price of materializing the change set (returned so the merge shares the
-    single WAL scan)."""
-    if cfg.salt_factor <= 1 or man.num_partitions <= 1 or cfg.hot_detect == "off":
-        return [], changes
+def _detect_hot_pids(man: Manifest, cfg: ApplyConfig) -> list[int]:
+    """Partitions whose change volume warrants two-level salted compaction,
+    predicted from the previous epoch's per-pid applied histogram in the
+    manifest — O(P) driver work, zero data passes. CDC skew is sticky (a
+    hot source stays hot across epochs), and salting is correctness-neutral
+    either way (every change-reduce is associative), so a one-epoch
+    prediction lag only costs a little balance on the first hot epoch.
+    ``salt_factor=1`` never salts."""
+    if cfg.salt_factor <= 1 or man.num_partitions <= 1:
+        return []
     if man.spec.get("kind") != "hash":
         # assign_by_spec only creates the salt column for hash specs — a
         # time-partitioned upsert table would crash the salted groupby on a
         # missing column (and its skew is time-locality, not key-hash skew,
         # which salting cannot fix anyway)
-        return [], changes
-    if cfg.hot_detect == "prev":
-        counts = {int(p): n for p, n in man.last_applied.items() if n > 0}
-        if len(counts) <= 1:
-            return [], changes
-        mean = sum(counts.values()) / len(counts)
-        return sorted(p for p, n in counts.items() if n > cfg.hot_ratio * mean), changes
-
-    changes = changes.materialize()
-
-    def pid_counts(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        vc = _pc.value_counts(b.column("pid"))
-        return pa.table({"pid": vc.field("values"), "n": vc.field("counts")})
-
-    partials = changes.map_batches(pid_counts, batch_format="pyarrow").to_pandas()
-    if partials.empty:
-        return [], changes
-    counts = partials.groupby("pid")["n"].sum()
+        return []
+    counts = {int(p): n for p, n in man.last_applied.items() if n > 0}
     if len(counts) <= 1:
-        return [], changes
-    hot = counts[counts > cfg.hot_ratio * counts.mean()]
-    return sorted(int(p) for p in hot.index), changes
+        return []
+    mean = sum(counts.values()) / len(counts)
+    return sorted(p for p, n in counts.items() if n > cfg.hot_ratio * mean)
 
 
 def _apply_small_epoch(
@@ -367,15 +337,14 @@ def _dlq_epoch_rows(dlq_dir: str, epoch: int) -> int:
     )
 
 
-def _commit(man: Manifest, entry: dict, gc: bool = True) -> None:
+def _commit(man: Manifest, entry: dict) -> None:
     """Commit ``man`` as the epoch ``entry`` records, then collect the parts
     no retained manifest references. Raises ConcurrentCommitError when
     another writer committed that epoch first."""
     man.epoch = entry["epoch"]
     man.history.append(entry)
     commit_manifest(man)
-    if gc:
-        manifest_mod.gc_stale_files(man)
+    manifest_mod.gc_stale_files(man)
 
 
 def _install_parts(table_dir: str, partitions: dict, stats: list[dict]) -> None:
@@ -439,7 +408,6 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         "epoch": epoch,
         "partitions": _worker_partitions(man.partitions),
         "snapshot_schema_b64": schema_to_b64(snap_schema),
-        "write_mode": cfg.write_mode,
         "compact_threshold": cfg.compact_threshold,
         "mode": man.mode,
         "default_watermark": watermark,
@@ -451,12 +419,8 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
     }
     hot_pids = []
     ray_stage_stats = None
-    small = (
-        n_events <= cfg.small_epoch_events
-        and all(s.format == "parquet" for s in segs)
-        # "scan" is an explicit request for the exact counting + salted merge
-        # plan — honor it even for micro-batches
-        and cfg.hot_detect != "scan"
+    small = n_events <= cfg.small_epoch_events and all(
+        s.format == "parquet" for s in segs
     )
     if small:
         # Micro-epoch latency fast path (the MV small-tick trick applied to
@@ -468,29 +432,23 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         stats = _apply_small_epoch(segs, normalize, merge_kwargs)
     else:
         changes = _read_segments(segs).map_batches(
-            normalize,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.batch_size,
+            normalize, batch_format="pyarrow", zero_copy_batch=True
         )
-        # Skew salting applies to the per-key compacting modes (upsert LWW
-        # and sum rollups — a hot counter key is the sum-mode pain case);
-        # append groups do a plain concat, nothing to fan out.
+        # Skew salting applies to the per-key compacting modes (upsert LWW,
+        # sum rollups — a hot counter key is the sum-mode pain case — and
+        # collapse); append groups do a plain concat, nothing to fan out.
         if not is_append:
-            hot_pids, changes = _detect_hot_pids(man, changes, cfg)
+            hot_pids = _detect_hot_pids(man, cfg)
         if hot_pids:
-            # Two-level salted merge: L1 compacts (pid, salt) sub-groups in
-            # parallel (each doc_id lives in exactly one sub-group, so L1
-            # output is fully compacted per key); L2 is the per-pid base
-            # merge. Sum mode uses the sum-aware L1 (partial sums compose).
-            if man.mode == "sum":
-                l1 = make_sum_compact_group(man.key_col, man.sum_cols)
-            elif man.mode == "collapse":
-                l1 = make_collapse_compact_group(man.key_col)
-            else:
-                l1 = compact_group
+            # Two-level salted merge: L1 reduces (pid, salt) sub-groups in
+            # parallel with the mode's change-reduce (each doc_id lives in
+            # exactly one sub-group, so L1 output is fully reduced per key);
+            # L2 is the per-pid MergeApply.
             changes = changes.groupby(["pid", "salt"]).map_groups(
-                l1, batch_format="pyarrow"
+                functools.partial(
+                    reduce_changes, mode=man.mode, sum_cols=man.sum_cols
+                ),
+                batch_format="pyarrow",
             )
 
         stats_ds = changes.groupby("pid").map_groups(
@@ -565,7 +523,7 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
     if cfg.dlq_dir:
         epoch_stats["dlq_rows"] = _dlq_epoch_rows(cfg.dlq_dir, epoch)
     man.schema_b64 = schema_to_b64(snap_schema)
-    _commit(man, epoch_stats, gc=cfg.gc)
+    _commit(man, epoch_stats)
     if ray_stage_stats is not None:
         # returned copy only — the manifest history stays O(small)
         return {**epoch_stats, "stage_stats": ray_stage_stats}
@@ -685,37 +643,18 @@ def compact_table(
     by the size-tiered policy (see :func:`compact_plan`). Same exactly-once
     protocol as an apply epoch: all part writes land, then one manifest put.
     Returns stats, or None when nothing qualifies."""
-    from ..stages.merge import CompactWorker
-
     man = load_manifest(table_dir)
-    plan = compact_plan(table_dir, size_ratio)
-    dirty = plan["pids"]
+    dirty = compact_plan(table_dir, size_ratio)["pids"]
     if not dirty:
         return None
-    epoch = man.epoch + 1
-    t0 = time.perf_counter()
-    worker_kwargs = {
-        "table_dir": table_dir,
-        "epoch": epoch,
-        "partitions": _worker_partitions(man.partitions),
-        "snapshot_schema_b64": man.schema_b64,
-        "mode": man.mode,
-        "sum_cols": man.sum_cols,
-        "skip_cols": man.skip_cols,
-    }
-    stats = _maintenance_stats(
-        CompactWorker, worker_kwargs, dirty, concurrency, table_dir, man
+    return _maintenance_epoch(
+        table_dir, man, dirty, concurrency,
+        lambda stats: {
+            "compaction": True,
+            "partitions_compacted": len(dirty),
+            "rows_total": sum(int(p["rows"]) for p in man.partitions.values()),
+        },
     )
-    _install_parts(table_dir, man.partitions, stats)
-    epoch_stats = {
-        "epoch": epoch,
-        "compaction": True,
-        "partitions_compacted": len(dirty),
-        "rows_total": sum(int(p["rows"]) for p in man.partitions.values()),
-        "wall_s": round(time.perf_counter() - t0, 4),
-    }
-    _commit(man, epoch_stats)
-    return epoch_stats
 
 
 # Maintenance passes (compaction / TTL / mutation) whose selected chains
@@ -728,12 +667,35 @@ def compact_table(
 COMPACT_DRIVER_BYTES = 64 << 20
 
 
-def _maintenance_stats(
-    worker_cls, worker_kwargs, pids, concurrency, table_dir, man
-) -> list[dict]:
-    """Run a per-partition maintenance worker (Compact/TTL/Mutate) over pid
-    descriptors — driver-side below COMPACT_DRIVER_BYTES of selected chain
-    bytes, Ray actor pool above."""
+def _maintenance_epoch(
+    table_dir: str,
+    man: Manifest,
+    pids: list,
+    concurrency: int | tuple,
+    summarize,
+    rewrite=None,
+) -> dict | None:
+    """One maintenance epoch (compaction, TTL expiry or mutation): run the
+    per-partition rewrite worker over ``pids`` — driver-side below
+    COMPACT_DRIVER_BYTES of selected chain bytes, Ray actor pool above —
+    install the parts it wrote, and commit ``summarize(stats)`` as the
+    epoch's history entry (``None`` commits nothing). The worker class is
+    resolved from ``stages.merge`` at call time, so a wrapped
+    ``CompactWorker`` (tracing) sees every pass."""
+    from ..stages import merge as merge_mod
+
+    t0 = time.perf_counter()
+    epoch = man.epoch + 1
+    worker_kwargs = {
+        "table_dir": table_dir,
+        "epoch": epoch,
+        "partitions": _worker_partitions(man.partitions),
+        "snapshot_schema_b64": man.schema_b64,
+        "mode": man.mode,
+        "sum_cols": man.sum_cols,
+        "skip_cols": man.skip_cols,
+        "rewrite": rewrite,
+    }
     total = 0
     for pid in pids:
         for f in man.partitions[str(pid)].get("files") or []:
@@ -741,25 +703,33 @@ def _maintenance_stats(
                 total += os.path.getsize(os.path.join(table_dir, f))
             except OSError:
                 pass
-    if total <= COMPACT_DRIVER_BYTES:
-        return (
-            worker_cls(**worker_kwargs)(
-                pa.table({"pid": pa.array([int(p) for p in pids], pa.int64())})
-            ).to_pylist()
+    if not pids:
+        stats = []
+    elif total <= COMPACT_DRIVER_BYTES:
+        stats = merge_mod.CompactWorker(**worker_kwargs)(
+            pa.table({"pid": pa.array([int(p) for p in pids], pa.int64())})
+        ).to_pylist()
+    else:
+        items = [{"pid": int(pid)} for pid in pids]
+        stats = (
+            ray.data.from_items(items, override_num_blocks=len(items))
+            .map_batches(
+                merge_mod.CompactWorker,
+                fn_constructor_kwargs=worker_kwargs,
+                batch_format="pyarrow",
+                batch_size=None,
+                concurrency=concurrency,
+                num_cpus=1,
+            )
+            .take_all()
         )
-    items = [{"pid": int(pid)} for pid in pids]
-    return (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(
-            worker_cls,
-            fn_constructor_kwargs=worker_kwargs,
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-        .take_all()
-    )
+    _install_parts(table_dir, man.partitions, [r for r in stats if r["new_file"]])
+    entry = summarize(stats)
+    if entry is None:
+        return None
+    entry = {"epoch": epoch, **entry, "wall_s": round(time.perf_counter() - t0, 4)}
+    _commit(man, entry)
+    return entry
 
 
 def ttl_expire(
@@ -795,7 +765,6 @@ def ttl_expire(
     """
     import datetime as _dt
 
-    from ..stages.merge import TTLWorker
     from ..stages.partition import yyyymm_of
 
     if isinstance(cutoff, str):
@@ -847,50 +816,51 @@ def ttl_expire(
     if not drop_pids and not scan_pids:
         return None
 
-    t0 = time.perf_counter()
-    epoch = man.epoch + 1
-    rows_expired = 0
-    if scan_pids:
-        stats = _maintenance_stats(
-            TTLWorker,
-            {
-                "table_dir": table_dir,
-                "epoch": epoch,
-                "partitions": _worker_partitions(man.partitions),
-                "snapshot_schema_b64": man.schema_b64,
-                "ttl_col": ttl_col,
-                "cutoff_us": cutoff_us,
-                "mode": man.mode,
-                "sum_cols": man.sum_cols,
-                "skip_cols": man.skip_cols,
-            },
-            scan_pids,
-            concurrency,
-            table_dir,
-            man,
-        )
-        _install_parts(table_dir, man.partitions, stats)
-        rows_expired += sum(int(row["deletes"]) for row in stats)
+    rows_dropped = sum(int(man.partitions[pid]["rows"]) for pid in drop_pids)
     if drop_pids:
         # pin the resume floor before partitions vanish: the global
         # watermark is min over partitions and must not move backwards
         # (or fall to 0 if every partition drops)
         man.watermark_floor = max(man.watermark_floor, man.watermark)
         for pid in drop_pids:
-            rows_expired += int(man.partitions[pid]["rows"])
             del man.partitions[pid]
-    out = {
-        "epoch": epoch,
-        "ttl": True,
-        "ttl_col": ttl_col,
-        "cutoff": cutoff.isoformat(),
-        "partitions_dropped": len(drop_pids),
-        "partitions_rewritten": len(scan_pids),
-        "rows_expired": rows_expired,
-        "wall_s": round(time.perf_counter() - t0, 4),
-    }
-    _commit(man, out)
-    return out
+    collapse = man.mode == "collapse"
+
+    def expire(rows: pa.Table):
+        col = rows.column(ttl_col)
+        cutoff_v = pa.scalar(cutoff_us, pa.timestamp("us")).cast(col.type)
+        # keep = ttl_col >= cutoff; nulls keep (never expire)
+        keep = pc.fill_null(pc.greater_equal(col, cutoff_v), True)
+        if collapse:
+            # an expiring winner must take its key's adjustment rows with
+            # it: adjustments carry null payloads (null TTL never expires),
+            # so leaving them would turn a revivable cancelled key (net 0)
+            # into an unrevivable one (net -1). Drop the WHOLE key when its
+            # winner row expires; winnerless adjustment keys have no TTL
+            # value and persist until a mutation removes them.
+            expired_keys = rows.filter(
+                pc.and_(collapse_winner_mask(rows), pc.invert(keep))
+            ).column("doc_id")
+            if len(expired_keys):
+                keep = pc.and_(keep, pc.invert(pc.is_in(
+                    rows.column("doc_id"),
+                    value_set=expired_keys.combine_chunks(),
+                )))
+        kept = rows.filter(keep)
+        return kept, 0, rows.num_rows - kept.num_rows
+
+    return _maintenance_epoch(
+        table_dir, man, scan_pids, concurrency,
+        lambda stats: {
+            "ttl": True,
+            "ttl_col": ttl_col,
+            "cutoff": cutoff.isoformat(),
+            "partitions_dropped": len(drop_pids),
+            "partitions_rewritten": len(scan_pids),
+            "rows_expired": rows_dropped + sum(int(r["deletes"]) for r in stats),
+        },
+        rewrite=expire,
+    )
 
 
 def mutate_table(
@@ -919,7 +889,6 @@ def mutate_table(
     Returns the history entry, or None when no row matched (no epoch is
     committed — a no-op mutation leaves no trace to replay or time-travel).
     """
-    from ..stages.merge import MutateWorker
     from .scan import scan_plan
 
     if delete == bool(set_cols):
@@ -954,51 +923,52 @@ def mutate_table(
     candidates = sorted(plan["partitions"], key=int)
     if not candidates:
         return None
-    t0 = time.perf_counter()
-    epoch = man.epoch + 1
-    stats = _maintenance_stats(
-        MutateWorker,
-        {
-            "table_dir": table_dir,
-            "epoch": epoch,
-            "partitions": _worker_partitions(man.partitions),
-            "snapshot_schema_b64": man.schema_b64,
+    set_cols = dict(set_cols or {})
+
+    def mutate(rows: pa.Table):
+        c = rows.column(col)
+        mask = None
+        if lo is not None:
+            mask = pc.greater_equal(c, pa.scalar(lo).cast(c.type))
+        if hi is not None:
+            m2 = pc.less_equal(c, pa.scalar(hi).cast(c.type))
+            mask = m2 if mask is None else pc.and_(mask, m2)
+        # nulls never match a range predicate (SQL semantics)
+        mask = pc.fill_null(mask, False)
+        n_hit = pc.sum(mask.cast(pa.int64())).as_py() or 0
+        if n_hit == 0:
+            # zone said "maybe" but the merged state says no: leave the
+            # chain alone (rows/bytes/files unchanged, nothing written)
+            return None
+        if delete:
+            return rows.filter(pc.invert(mask)), 0, n_hit
+        for name, value in set_cols.items():
+            idx = rows.schema.get_field_index(name)
+            old = rows.column(name)
+            new = pc.if_else(mask, pa.scalar(value).cast(old.type), old)
+            rows = rows.set_column(idx, rows.schema.field(idx), new)
+        return rows, n_hit, 0
+
+    def summarize(stats: list[dict]) -> dict | None:
+        rewritten = sum(1 for r in stats if r["new_file"])
+        if not rewritten:
+            return None  # predicate matched nothing: no writes, no epoch
+        return {
+            "mutation": True,
             "col": col,
-            "lo": lo,
-            "hi": hi,
-            "delete": delete,
-            "set_cols": set_cols,
-            "mode": man.mode,
-            "sum_cols": man.sum_cols,
-            "skip_cols": man.skip_cols,
-        },
-        candidates,
-        concurrency,
-        table_dir,
-        man,
+            "lo": None if lo is None else str(lo),
+            "hi": None if hi is None else str(hi),
+            "action": "delete" if delete else f"set {sorted(set_cols)}",
+            "rows_deleted": sum(int(r["deletes"]) for r in stats),
+            "rows_updated": sum(int(r["applied"]) for r in stats),
+            "partitions_rewritten": rewritten,
+            "partitions_pruned_by_zones": plan["partitions_pruned"],
+            "partitions_unchanged": len(stats) - rewritten,
+        }
+
+    return _maintenance_epoch(
+        table_dir, man, candidates, concurrency, summarize, rewrite=mutate
     )
-    rows_deleted = sum(int(r["deletes"]) for r in stats)
-    rows_updated = sum(int(r["applied"]) for r in stats)
-    rewritten = [r for r in stats if r["new_file"]]
-    if not rewritten:
-        return None  # predicate matched nothing: no writes, no epoch
-    _install_parts(table_dir, man.partitions, rewritten)
-    out = {
-        "epoch": epoch,
-        "mutation": True,
-        "col": col,
-        "lo": None if lo is None else str(lo),
-        "hi": None if hi is None else str(hi),
-        "action": "delete" if delete else f"set {sorted(set_cols)}",
-        "rows_deleted": rows_deleted,
-        "rows_updated": rows_updated,
-        "partitions_rewritten": len(rewritten),
-        "partitions_pruned_by_zones": plan["partitions_pruned"],
-        "partitions_unchanged": len(stats) - len(rewritten),
-        "wall_s": round(time.perf_counter() - t0, 4),
-    }
-    _commit(man, out)
-    return out
 
 
 def _files_min_ts_us(table_dir: str, files: list[str], col: str) -> int | None:
@@ -1043,8 +1013,6 @@ def import_base(
     renamed/cast, n_tok recomputed when absent) → hash-partition → shuffle →
     per-partition clean snapshots → atomic commit.
     """
-    import pyarrow.compute as pc
-
     cfg = cfg or ApplyConfig()
     man = load_manifest(table_dir)
     # a sum-table base import is pre-aggregated state: one row per key
@@ -1270,8 +1238,6 @@ def read_time_range(
     """Date-range scan of a time-partitioned table: prune partitions by
     yyyymm at the manifest (the PARTITION BY toYYYYMM read path,
     init.sql:40), then row-filter the boundary months to [start, end)."""
-    import pyarrow.compute as pc
-
     from ..stages.merge import make_partition_reader
 
     man = load_manifest(table_dir, epoch=epoch)
@@ -1300,19 +1266,16 @@ def read_time_range(
 def snapshot_table(table_dir: str, epoch: int | None = None) -> pa.Table:
     """Driver-side snapshot materialization (tests / small tables only).
     ``epoch`` time-travels to a retained historical commit."""
-    from ..stages.merge import merge_file_tables, read_partition
+    from ..stages.merge import read_partition_final
 
     man = load_manifest(table_dir, epoch=epoch)
     tables = []
     for pid in sorted(man.partitions, key=int):
         files = man.partitions[pid].get("files") or []
         if files:
-            t = read_partition(table_dir, files, man.schema, man.mode, man.sum_cols)
-            if man.mode == "collapse":
-                from ..stages.merge import collapse_finalize
-
-                t = collapse_finalize(t)  # user-facing: alive winners only
-            tables.append(t)
+            tables.append(read_partition_final(
+                table_dir, files, man.schema, man.mode, man.sum_cols
+            ))
     if not tables:
         return man.schema.empty_table()
     # deterministic order: key for keyed modes (keys unique), lsn for append

@@ -30,7 +30,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.merge import merge_file_tables, sum_merge_file_tables
+from ..stages.merge import fold_chain
 from ..stages.partition import partition_of
 from ..state.manifest import load_manifest
 
@@ -74,16 +74,9 @@ def lookup_keys(
             )
             for f in files
         ]
-        if man.mode == "sum":
-            # sum chains: the key's partial sums across the filtered slice
-            # fold exactly like the full-partition read (associative kernel)
-            out.append(sum_merge_file_tables(tables, man.schema, man.sum_cols))
-        elif len(tables) == 1 and "op" not in tables[0].column_names:
-            from ..schemas import cast_table
-
-            out.append(cast_table(tables[0], man.schema))
-        else:
-            out.append(merge_file_tables(tables, man.schema))
+        # the filtered slice folds exactly like the full-partition read
+        # (every mode's fold is per key)
+        out.append(fold_chain(tables, man.schema, man.mode, man.sum_cols))
     if not out:
         return man.schema.empty_table()
     return pa.concat_tables(out).sort_by([(man.key_col, "ascending")])

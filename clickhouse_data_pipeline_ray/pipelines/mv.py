@@ -59,6 +59,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources.wal import pending_segments
+from ..stages.merge import merge_needed_columns, read_partition_final
 from ..state.manifest import load_manifest
 from ..state.registry import file_lock
 
@@ -425,79 +426,24 @@ def _combine_states(frames: list[pd.DataFrame], spec: dict) -> pd.DataFrame:
     return out.sort_values(keys).reset_index(drop=True)
 
 
-def _narrow_schema(man, cols: list[str]) -> pa.Schema:
-    """Projection schema for a column-pruned merged read: the requested
-    columns plus the physical key/version (and collapse sign) columns the
-    mode's merge kernel needs."""
-    need = list(cols)
-    if man.mode != "append":
-        # the merge kernels key on the physical doc_id column; version is lsn
-        need += [c for c in ("doc_id", "lsn") if c not in need]
-    if man.mode == "collapse" and "sign" not in need:
-        need.append("sign")
-    return pa.schema([man.schema.field(c) for c in need])
-
-
-def _read_chain_columns(
-    table_dir: str,
-    files: list[str],
-    narrow: pa.Schema,
-    mode: str,
-    sum_cols: list[str] | tuple = (),
-) -> pa.Table:
-    """One partition's merged USER-FACING state restricted to ``narrow`` —
-    column-pruned parquet reads (the wide ``tokens`` payload is never
-    decoded). Mode-complete, like ``read_partition_final``: upsert chains
-    LWW-merge, append chains plain-concat (legal duplicate rows must
-    survive), sum chains fold partial sums, collapse chains fold partials
-    then FINALIZE to alive winners (MV/ANN consumers must never see
-    cancelled-key winner rows or null adjustment rows)."""
-    from ..schemas import cast_table
-    from ..stages.merge import (
-        collapse_finalize,
-        collapse_merge_file_tables,
-        merge_file_tables,
-        sum_merge_file_tables,
-    )
-
-    want = set(narrow.names) | {"op"}
-    tables = []
-    for f in files:
-        path = os.path.join(table_dir, f)
-        present = [c for c in pq.ParquetFile(path).schema_arrow.names if c in want]
-        tables.append(pq.read_table(path, columns=present))
-    if not tables:
-        return narrow.empty_table()
-    if mode == "append":
-        parts = [cast_table(t, narrow) for t in tables if t.num_rows]
-        if not parts:
-            return narrow.empty_table()
-        return pa.concat_tables(parts, promote_options="none")
-    if mode == "sum":
-        return sum_merge_file_tables(
-            tables, narrow, [c for c in sum_cols if c in narrow.names]
-        )
-    if mode == "collapse":
-        return collapse_finalize(collapse_merge_file_tables(tables, narrow))
-    return merge_file_tables(tables, narrow)
-
-
 def _read_dim_columns(table_dir: str, cols: list[str]) -> pa.Table:
-    """Merged table snapshot restricted to ``cols`` across all partitions.
+    """Merged table snapshot restricted to ``cols`` (plus the mode's merge
+    keys) across all partitions — column-pruned, user-facing reads.
     Replaces the full ``snapshot_table`` read (a tests/small-tables API) on
     the enrichment path."""
     man = load_manifest(table_dir)
-    narrow = _narrow_schema(man, cols)
     parts = []
     for pid in sorted(man.partitions, key=int):
         files = man.partitions[pid].get("files") or []
         if not files:
             continue
-        t = _read_chain_columns(table_dir, files, narrow, man.mode, man.sum_cols)
+        t = read_partition_final(
+            table_dir, files, man.schema, man.mode, man.sum_cols, columns=cols
+        )
         if t.num_rows:
             parts.append(t)
     if not parts:
-        return narrow.empty_table()
+        return merge_needed_columns(man.schema, cols, man.mode)[0].empty_table()
     return pa.concat_tables(parts, promote_options="none")
 
 
@@ -689,13 +635,13 @@ def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
     # columns a partial needs: non-derived group keys + measure sources +
     # the date_from source (never the wide payload)
     tick_cols = [c for c in _tick_columns(spec) if c != "lsn"]
-    narrow = _narrow_schema(man, tick_cols)
     partial_fn = _tick_partial(spec)
     changed_rows = sum(int(man.partitions[pid].get("rows") or 0) for pid in changed)
 
     def pid_partial(pid: str) -> pa.Table:
-        t = _read_chain_columns(
-            table_dir, cur_chains[pid], narrow, man.mode, man.sum_cols
+        t = read_partition_final(
+            table_dir, cur_chains[pid], man.schema, man.mode, man.sum_cols,
+            columns=tick_cols,
         )
         return partial_fn(t)
 
@@ -708,13 +654,16 @@ def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
         import ray as _ray
         import ray.data as rd
 
-        mode, nar, chains = man.mode, narrow, dict(cur_chains)
+        mode, schema, chains = man.mode, man.schema, dict(cur_chains)
         scols = list(man.sum_cols)
 
         def one(b: pa.Table) -> pa.Table:
             out = []
             for pid in b.column("pid").to_pylist():
-                t = _read_chain_columns(table_dir, chains[pid], nar, mode, scols)
+                t = read_partition_final(
+                    table_dir, chains[pid], schema, mode, scols,
+                    columns=tick_cols,
+                )
                 p = partial_fn(t)
                 out.append(
                     p.append_column("__pid", pa.array([pid] * p.num_rows))
@@ -741,7 +690,9 @@ def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
                 m = pc.equal(got.column("__pid"), pid)
                 partials[pid] = got.filter(m).drop_columns(["__pid"])
             else:
-                partials[pid] = partial_fn(narrow.empty_table())
+                partials[pid] = partial_fn(merge_needed_columns(
+                    man.schema, tick_cols, man.mode
+                )[0].empty_table())
 
     # ---- commit: every changed partial (tmp + rename), then spec swap ----
     d = _mv_dir(table_dir, name)

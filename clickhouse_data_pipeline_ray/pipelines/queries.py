@@ -346,7 +346,7 @@ def cdc_sum_replay(sf_dir: str) -> pa.Table:
         replay(
             table_dir,
             wal_dir,
-            ApplyConfig(max_segments=4, write_mode="delta", compact_threshold=2),
+            ApplyConfig(max_segments=4, compact_threshold=2),
         )
         snap = snapshot_table(table_dir)
     finally:
@@ -403,7 +403,7 @@ def cdc_collapse_replay(sf_dir: str) -> pa.Table:
         replay(
             table_dir,
             wal_dir,
-            ApplyConfig(max_segments=4, write_mode="delta", compact_threshold=2),
+            ApplyConfig(max_segments=4, compact_threshold=2),
         )
         snap = snapshot_table(table_dir)
     finally:

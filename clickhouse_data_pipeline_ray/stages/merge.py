@@ -49,10 +49,10 @@ def write_part(
     compression: str = "zstd",
 ) -> tuple[str, int]:
     """The worker half of the commit protocol (state/store.py), shared by
-    every part writer (MergeApply, CompactWorker, TTLWorker, MutateWorker,
-    SnapshotWriter): write the part ONCE under a fresh writer-unique,
-    epoch-stamped name (``O_EXCL`` create, write, fsync — no staging file,
-    no rename). The fsync orders the parquet bytes BEFORE the manifest that
+    every part writer (MergeApply; CompactWorker, which also runs TTL expiry
+    and mutations; SnapshotWriter): write the part ONCE under a fresh
+    writer-unique, epoch-stamped name (``O_EXCL`` create, write, fsync — no
+    staging file, no rename). The fsync orders the parquet bytes BEFORE the manifest that
     references them: without it a power loss could persist the manifest
     while its parts are still page-cache-only. The part stays invisible
     until a committed manifest names it; a crashed, losing or retried
@@ -228,26 +228,15 @@ def sum_compact(
     return pa.table(cols)
 
 
-def sum_merge_file_tables(
-    tables: list[pa.Table],
-    snapshot_schema: pa.Schema,
-    sum_cols: list[str] | tuple,
-) -> pa.Table:
-    """Fold a sum-mode partition's file chain (summed base snapshot +
-    partial-sum delta files) into the merged state. Files carry no ``op``
-    column (sum tables are insert-only — additive deltas, no tombstones);
-    the fold is a plain concat + :func:`sum_compact`, valid in any order
-    because partial sums compose. Non-sum columns resolve to the max-LSN
-    contribution (base rows store their last contributor's LSN, deltas are
-    strictly newer by the watermark filter — no ties)."""
-    parts = [cast_table(t, snapshot_schema) for t in tables if t.num_rows]
-    if not parts:
-        return snapshot_schema.empty_table()
-    if len(parts) == 1:
-        # any committed sum part is already one-row-per-key and key-sorted
-        return parts[0]
-    return sum_compact(
-        pa.concat_tables(parts, promote_options="none"), sum_cols=sum_cols
+def collapse_winner_mask(
+    table: pa.Table, sign_col: str = "sign", version: str = "lsn"
+) -> pa.Array:
+    """Rows that are collapse winner candidates: ``sign > 0`` with a
+    non-null version (state rows; cancel and adjustment rows never are)."""
+    sign = table.column(sign_col)
+    return pc.and_(
+        pc.fill_null(pc.greater(sign, pa.scalar(0).cast(sign.type)), False),
+        pc.is_valid(table.column(version)),
     )
 
 
@@ -292,14 +281,9 @@ def collapse_compact(
         return table
     import pandas as pd
 
-    sign = table.column(sign_col)
-    ver = table.column(version)
-    cand_mask = pc.and_(
-        pc.fill_null(pc.greater(sign, pa.scalar(0).cast(sign.type)), False),
-        pc.is_valid(ver),
-    )
     winners = lww_compact(
-        table.filter(cand_mask).drop_columns([sign_col]),
+        table.filter(collapse_winner_mask(table, sign_col, version))
+        .drop_columns([sign_col]),
         key=key,
         version=version,
     )  # key-sorted, one row per key-with-state
@@ -385,37 +369,9 @@ def collapse_finalize(
     alive = nets.filter(
         pc.greater(nets.column(f"{sign_col}_sum"), pa.scalar(0))
     ).column(key)
-    winner_mask = pc.and_(
-        pc.fill_null(
-            pc.greater(table.column(sign_col), pa.scalar(0).cast(
-                table.schema.field(sign_col).type
-            )),
-            False,
-        ),
-        pc.is_valid(table.column(version)),
-    )
-    winners = table.filter(winner_mask)
+    winners = table.filter(collapse_winner_mask(table, sign_col, version))
     keep = pc.is_in(winners.column(key), value_set=alive.combine_chunks())
     return winners.filter(keep)
-
-
-def collapse_merge_file_tables(
-    tables: list[pa.Table],
-    snapshot_schema: pa.Schema,
-    sign_col: str = "sign",
-) -> pa.Table:
-    """Fold a collapse-mode partition's file chain (partial-state base +
-    partial delta files) — plain concat + :func:`collapse_compact`, valid in
-    any order because the partial encoding composes. Output is PARTIAL state
-    (residual cancel balances retained); user reads finalize."""
-    parts = [cast_table(t, snapshot_schema) for t in tables if t.num_rows]
-    if not parts:
-        return snapshot_schema.empty_table()
-    if len(parts) == 1:
-        return parts[0]
-    return collapse_compact(
-        pa.concat_tables(parts, promote_options="none"), sign_col=sign_col
-    )
 
 
 def merge_file_tables(
@@ -484,6 +440,78 @@ def merge_base_and_changes(
     return merge_file_tables(tables + [changes], snapshot_schema)
 
 
+def reduce_changes(
+    rows: pa.Table, mode: str, sum_cols: list[str] | tuple = ()
+) -> pa.Table:
+    """The table mode's change-reduce rule: a batch of change rows → the
+    mode's mergeable partial, key-sorted. Upsert keeps each key's LWW
+    winner (tombstones kept as rows), sum its partial sum, collapse its
+    partial state (:func:`collapse_compact`); append rows are immutable and
+    only ordered by lsn (deterministic part bytes).
+
+    Every rule is associative, so normalize's per-batch pre-compaction, the
+    salted L1 per (pid, salt) and MergeApply's per-partition pass all call
+    this one function and compose to one global pass.
+
+    Routing columns ride along: they are a function of the key. Collapse
+    adjustment rows null every non-key column, so their ``pid``/``salt``
+    are copied back from the key's first input row."""
+    if mode == "upsert":
+        return lww_compact(rows)
+    if mode == "sum":
+        return sum_compact(rows, sum_cols=sum_cols)
+    if mode == "collapse":
+        routing = [c for c in ROUTING_COLS if c in rows.column_names]
+        out = collapse_compact(rows.drop_columns(routing))
+        if routing:
+            first = pc.index_in(
+                out.column("doc_id"), value_set=rows.column("doc_id")
+            )
+            for c in routing:
+                out = out.append_column(c, rows.column(c).take(first))
+        return out
+    return rows.sort_by([("lsn", "ascending")])
+
+
+def fold_chain(
+    tables: list[pa.Table],
+    snapshot_schema: pa.Schema,
+    mode: str = "upsert",
+    sum_cols: list[str] | tuple = (),
+) -> pa.Table:
+    """The table mode's chain-fold rule: one partition's file tables
+    (commit order, oldest first) → its merged state, cast to
+    ``snapshot_schema``. Every reader and writer of a chain folds through
+    here: ``read_partition``, MergeApply's compaction, point lookups.
+
+    - upsert: LWW over the chain (:func:`merge_file_tables`); a single
+      clean snapshot (no ``op`` column) needs only a cast;
+    - append: a plain concat — duplicate business keys are legal facts;
+    - sum / collapse: concat + the mode's reduce, valid in any order
+      because partials compose. Sum's non-sum columns resolve to the
+      max-LSN contribution (deltas are strictly newer than the base by the
+      watermark filter — no ties). Collapse returns PARTIAL state
+      (residual cancel balances kept); user reads finalize.
+
+    Any committed sum/collapse/append part is already in the mode's
+    reduced form, so a one-part chain is returned as is."""
+    if mode == "upsert":
+        if len(tables) == 1 and "op" not in tables[0].column_names:
+            return cast_table(tables[0], snapshot_schema)
+        return merge_file_tables(tables, snapshot_schema)
+    parts = [cast_table(t, snapshot_schema) for t in tables if t.num_rows]
+    if not parts:
+        return snapshot_schema.empty_table()
+    if len(parts) == 1:
+        return parts[0]
+    combined = pa.concat_tables(parts, promote_options="none")
+    if mode == "sum":
+        return sum_compact(combined, sum_cols=sum_cols)
+    if mode == "collapse":
+        return collapse_compact(combined)
+    return combined
+
+
 def _stats_row(
     pid: int,
     rows: int,
@@ -499,8 +527,6 @@ def _stats_row(
     late_events: int = 0,
     zones_json: str = "",
 ) -> pa.Table:
-    import json
-
     return pa.table(
         {
             "pid": pa.array([pid], pa.int32()),
@@ -580,13 +606,9 @@ def read_partition(
     sum_cols: list[str] | tuple = (),
     columns: list[str] | None = None,
 ) -> pa.Table:
-    """Reconstruct one partition's merged state from its file chain.
-
-    Upsert fast path: a single clean snapshot file needs only a schema cast
-    (no sort, no merge) — the common case after compaction. Append mode:
-    the chain is immutable rows, so reconstruction is a plain concat —
-    never an LWW merge (duplicate business keys are legal in facts). Sum
-    mode: the chain is partial sums, folded by :func:`sum_merge_file_tables`.
+    """Reconstruct one partition's merged state from its file chain: read
+    every file, then :func:`fold_chain` for the table's mode (collapse
+    state stays PARTIAL — see :func:`read_partition_final`).
 
     ``columns`` pushes projection into the parquet reads: only the requested
     columns plus the mode's merge keys leave storage (see
@@ -600,21 +622,7 @@ def read_partition(
     tables = [
         _read_file_cols(os.path.join(table_dir, f), phys) for f in files
     ]
-    if mode == "sum" and columns is not None:
-        sum_cols = [c for c in sum_cols if c in snapshot_schema.names]
-    if mode == "append":
-        parts = [cast_table(t, snapshot_schema) for t in tables if t.num_rows]
-        if not parts:
-            return snapshot_schema.empty_table()
-        return pa.concat_tables(parts, promote_options="none")
-    if mode == "sum":
-        return sum_merge_file_tables(tables, snapshot_schema, sum_cols)
-    if mode == "collapse":
-        # PARTIAL state (residuals kept) — user-facing readers finalize
-        return collapse_merge_file_tables(tables, snapshot_schema)
-    if len(tables) == 1 and "op" not in tables[0].column_names:
-        return cast_table(tables[0], snapshot_schema)
-    return merge_file_tables(tables, snapshot_schema)
+    return fold_chain(tables, snapshot_schema, mode, sum_cols)
 
 
 def read_partition_final(
@@ -626,12 +634,13 @@ def read_partition_final(
     columns: list[str] | None = None,
 ) -> pa.Table:
     """:func:`read_partition` + user-facing finalize: collapse tables return
-    alive winners only (the partial winner+adjustment encoding stripped, as
-    :func:`make_partition_reader` does). Every OTHER mode's merged state is
+    alive winners only (the partial winner+adjustment encoding stripped).
+    Every OTHER mode's merged state is
     already final. Artifact derivers / snapshot scorers must read through
     this, never raw :func:`read_partition` — counting a cancelled key's
     winner row or a null-payload adjustment row would poison derived counts
-    (token indexes, classifier/LM/BPE partials, quality scores)."""
+    (token indexes, classifier/LM/BPE partials, quality scores, MV partials,
+    ANN vectors)."""
     t = read_partition(table_dir, files, snapshot_schema, mode, sum_cols, columns)
     if mode == "collapse":
         t = collapse_finalize(t)
@@ -657,12 +666,9 @@ def make_partition_reader(
         for pid in batch.column("pid").to_pylist():
             files = files_by_pid.get(str(pid)) or []
             if files:
-                t = read_partition(
+                t = read_partition_final(
                     table_dir, files, schema, mode, sum_cols, columns
                 )
-                if mode == "collapse":
-                    # user-facing read: partial state → alive winners only
-                    t = collapse_finalize(t)
                 if columns is not None:
                     t = t.select(columns)
                 out.append(t)
@@ -677,6 +683,14 @@ def make_partition_reader(
     return read_pids
 
 
+def _zones_json(rel: str, table: pa.Table, skip_cols: list[str]) -> str:
+    """Skip-index partial for one written part ("" when the table declares
+    no skip cols — the stats row stays empty, zero overhead)."""
+    if not skip_cols:
+        return ""
+    return json.dumps({rel: column_zones(table, skip_cols)})
+
+
 class MergeApply:
     """Stateful merge worker: applies one partition's change group per call.
 
@@ -688,18 +702,22 @@ class MergeApply:
     (base-file paths, watermarks, target schema) is resolved once in
     ``__init__``; each ``__call__`` handles one pid group.
 
-    Two write modes:
+    One flow for every table mode: watermark filter → :func:`reduce_changes`
+    → either EXTEND the chain or FOLD it (an upsert fold skips the separate
+    reduce: its LWW pass over chain + changes is that reduce).
 
-    - ``delta`` (default, the scale path): LWW-compact the partition's change
-      group and append it as ``delta-{epoch}.parquet`` (tombstones + ``op``
-      retained). Per-epoch write cost is O(changes), never O(table) — at the
+    - extend (the scale path): write the reduced rows as one
+      ``delta-{epoch}.parquet`` (upsert deltas keep ``op`` and their
+      tombstones) or, on append tables, one ``append-{epoch}.parquet``.
+      Per-epoch write cost is O(changes), never O(table) — at the
       10^10-event design point a partition's base may be tens of GB while an
-      epoch touches a few MB of it. When the file chain reaches
-      ``compact_threshold`` the call compacts instead: merge base + deltas +
-      changes into a single clean ``snapshot-{epoch}.parquet`` (bounded read
-      amplification, LSM-style).
-    - ``snapshot``: always fully merge and rewrite (MERGE-on-write); kept for
-      small tables and as the compaction primitive.
+      epoch touches a few MB of it.
+    - fold: once the chain would reach the partition's compact threshold,
+      :func:`fold_chain` the old chain + reduced rows into one clean
+      ``snapshot-{epoch}.parquet`` (``append-`` on append tables), bounding
+      read amplification LSM-style. A keyed partition's first write is its
+      snapshot directly (deltas only pay off once a base exists), and
+      ``compact_threshold=1`` folds on every epoch (MERGE-on-write).
 
     Output files are written once under writer-unique names (``write_part``)
     and become visible only when the driver commits a manifest naming them,
@@ -713,7 +731,6 @@ class MergeApply:
         epoch: int,
         partitions: dict[str, dict],
         snapshot_schema_b64: str,
-        write_mode: str = "snapshot",
         compact_threshold: int = 8,
         mode: str = "upsert",
         default_watermark: int = 0,
@@ -727,7 +744,6 @@ class MergeApply:
         self.epoch = epoch
         self.partitions = partitions
         self.snapshot_schema = schema_from_b64(snapshot_schema_b64)
-        self.write_mode = write_mode
         self.compact_threshold = compact_threshold
         self.mode = mode
         self.sum_cols = list(sum_cols)
@@ -773,24 +789,11 @@ class MergeApply:
         late = pc.sum(pc.less(ts, pa.scalar(bound)).cast(pa.int64())).as_py() or 0
         return ev_max, int(late)
 
-    def _read_files(self, meta: dict) -> list[pa.Table]:
-        return [
-            pq.read_table(os.path.join(self.table_dir, f))
-            for f in (meta.get("files") or [])
-        ]
-
     def _write(self, table: pa.Table, pid: int, kind: str) -> tuple[str, int]:
         # zstd for long-lived snapshots, lz4 for short-lived deltas (cheaper
         # to write; they are rewritten away at the next compaction anyway).
         comp = "lz4" if kind == "delta" else "zstd"
         return write_part(self.table_dir, pid, self.epoch, kind, table, comp)
-
-    def _zjson(self, rel: str, table: pa.Table) -> str:
-        """Skip-index partial for one written part ("" when the table
-        declares no skip cols — the stats row stays empty, zero overhead)."""
-        if not self.skip_cols:
-            return ""
-        return json.dumps({rel: column_zones(table, self.skip_cols)})
 
     def __call__(self, group: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
@@ -803,175 +806,74 @@ class MergeApply:
         }
         watermark = int(meta["watermark_lsn"])
         old_files = list(meta.get("files") or [])
+        old_rows, old_bytes = int(meta.get("rows", 0)), int(meta.get("bytes", 0))
 
         # Idempotent re-apply: skip events at or below this partition's
         # committed watermark (the manifest is the single source of truth,
         # unlike the reference's in-memory last_sync, pipeline.py:197-202).
         changes = group.filter(pc.greater(group.column("lsn"), pa.scalar(watermark)))
         n_applied = changes.num_rows
-        ops = changes.column("op")
-        n_del = pc.sum(pc.equal(ops, pa.scalar("d")).cast(pa.int64())).as_py() or 0
-        max_lsn = int(pc.max(changes.column("lsn")).as_py() or watermark) if n_applied else watermark
-
         if n_applied == 0:
             return _stats_row(
-                pid, int(meta.get("rows", 0)), bool(meta.get("exact_rows", True)),
-                int(meta.get("bytes", 0)), 0, 0, watermark, "", old_files, t0,
+                pid, old_rows, bool(meta.get("exact_rows", True)), old_bytes,
+                0, 0, watermark, "", old_files, t0,
             )
+        op = changes.column("op")
+        n_del = pc.sum(pc.equal(op, pa.scalar("d")).cast(pa.int64())).as_py() or 0
+        max_lsn = int(pc.max(changes.column("lsn")).as_py())
         ev_max, ev_late = self._event_time_partials(changes)
 
-        if self.mode == "append":
-            # Append-only facts: immutable rows, no LWW, no tombstones.
-            # Write the epoch's rows as one append part (lsn-sorted for
-            # deterministic bytes); when the chain reaches the threshold,
-            # coalesce it into one file (plain concat — cheap file-count
-            # hygiene, not a merge).
-            rows = changes.drop_columns(
-                [c for c in ("op", *ROUTING_COLS) if c in changes.column_names]
-            )
-            rows = cast_table(rows, self.snapshot_schema).sort_by(
-                [("lsn", "ascending")]
-            )
-            if len(old_files) + 1 >= self._threshold(pid):
-                parts = [
-                    pq.read_table(os.path.join(self.table_dir, f))
-                    for f in old_files
-                ]
-                rows = pa.concat_tables(
-                    [cast_table(t, self.snapshot_schema) for t in parts] + [rows],
-                    promote_options="none",
-                )
-                rel, nbytes = self._write(rows, pid, "append")
-                return _stats_row(
-                    pid, rows.num_rows, True, nbytes,
-                    n_applied, 0, max_lsn, rel, [rel], t0, ev_max, ev_late,
-                    self._zjson(rel, rows),
-                )
-            rel, nbytes = self._write(rows, pid, "append")
-            return _stats_row(
-                pid,
-                int(meta.get("rows", 0)) + n_applied,
-                True,
-                int(meta.get("bytes", 0)) + nbytes,
-                n_applied, 0, max_lsn, rel, old_files + [rel], t0,
-                ev_max, ev_late,
-                self._zjson(rel, rows),
-            )
+        # routing columns and (outside upsert, where only inserts are legal)
+        # op fall away in the cast; upsert deltas keep op for tombstones
+        rows = cast_table(changes, self.snapshot_schema)
+        if self.mode == "upsert":
+            rows = rows.append_column("op", op.cast(pa.string()))
 
-        # Bootstrap: an empty partition's first write IS its compacted state —
-        # write a clean snapshot directly (same write cost as a delta, and the
-        # initial backfill then needs no compaction pass at all). Deltas only
-        # make sense once a base exists to avoid rewriting.
-        delta_ok = (
-            self.write_mode == "delta"
-            and bool(old_files)
-            and len(old_files) + 1 < self._threshold(pid)
+        # extend until the chain would reach this pid's threshold; a keyed
+        # partition's first write folds (deltas need a base to pay off)
+        append = self.mode == "append"
+        extend = (old_files or append) and len(old_files) + 1 < self._threshold(pid)
+        if extend or self.mode != "upsert":
+            # the upsert fold is itself an LWW pass over chain + changes:
+            # reducing its changes first would gather every wide winner row
+            # twice
+            rows = reduce_changes(rows, self.mode, self.sum_cols)
+        if extend:
+            rel, nbytes = self._write(rows, pid, "append" if append else "delta")
+            # rows is exact for append chains and stale (last exact value)
+            # while deltas are pending; bytes covers the whole live chain
+            return _stats_row(
+                pid, old_rows + n_applied if append else old_rows, append,
+                old_bytes + nbytes, n_applied, n_del, max_lsn, rel,
+                old_files + [rel], t0, ev_max, ev_late,
+                _zones_json(rel, rows, self.skip_cols),
+            )
+        chain = [pq.read_table(os.path.join(self.table_dir, f)) for f in old_files]
+        merged = fold_chain(
+            chain + [rows], self.snapshot_schema, self.mode, self.sum_cols
         )
-
-        if self.mode == "sum":
-            # SummingMergeTree-analog: insert-only additive deltas (normalize
-            # rejects u/d ops). The group is partial-summed here; the delta
-            # path appends the partial (O(changes) per epoch, same LSM shape
-            # as upsert deltas), the compact path folds the whole chain.
-            rows = changes.drop_columns(
-                [c for c in ("op", *ROUTING_COLS) if c in changes.column_names]
-            )
-            compacted = sum_compact(
-                cast_table(rows, self.snapshot_schema), sum_cols=self.sum_cols
-            )
-            if delta_ok:
-                rel, nbytes = self._write(compacted, pid, "delta")
-                chain_bytes = int(meta.get("bytes", 0)) + nbytes
-                return _stats_row(
-                    pid, int(meta.get("rows", 0)), False, chain_bytes,
-                    n_applied, 0, max_lsn, rel, old_files + [rel], t0,
-                    ev_max, ev_late,
-                    self._zjson(rel, compacted),
-                )
-            merged = sum_merge_file_tables(
-                self._read_files(meta) + [compacted],
-                self.snapshot_schema,
-                self.sum_cols,
-            )
-            rel, nbytes = self._write(merged, pid, "snapshot")
-            return _stats_row(
-                pid, merged.num_rows, True, nbytes,
-                n_applied, 0, max_lsn, rel, [rel], t0, ev_max, ev_late,
-                self._zjson(rel, merged),
-            )
-        if self.mode == "collapse":
-            # CollapsingMergeTree-analog: insert-only ±1 events, folded to
-            # the associative partial encoding (collapse_compact). Delta
-            # path appends the partial; compact path folds the chain. The
-            # committed state is PARTIAL (residual cancel balances kept);
-            # readers finalize (net > 0 filter) — see collapse_compact.
-            rows = changes.drop_columns(
-                [c for c in ("op", *ROUTING_COLS) if c in changes.column_names]
-            )
-            compacted = collapse_compact(cast_table(rows, self.snapshot_schema))
-            if delta_ok:
-                rel, nbytes = self._write(compacted, pid, "delta")
-                chain_bytes = int(meta.get("bytes", 0)) + nbytes
-                return _stats_row(
-                    pid, int(meta.get("rows", 0)), False, chain_bytes,
-                    n_applied, 0, max_lsn, rel, old_files + [rel], t0,
-                    ev_max, ev_late,
-                    self._zjson(rel, compacted),
-                )
-            merged = collapse_merge_file_tables(
-                self._read_files(meta) + [compacted], self.snapshot_schema
-            )
-            rel, nbytes = self._write(merged, pid, "snapshot")
-            return _stats_row(
-                pid, merged.num_rows, True, nbytes,
-                n_applied, 0, max_lsn, rel, [rel], t0, ev_max, ev_late,
-                self._zjson(rel, merged),
-            )
-        if delta_ok:
-            # Append path: compacted change rows only, op + tombstones kept.
-            compacted = lww_compact(
-                changes.drop_columns(
-                    [c for c in ROUTING_COLS if c in changes.column_names]
-                )
-            )
-            op = compacted.column("op")
-            delta = cast_table(compacted, self.snapshot_schema).append_column(
-                "op", op.cast(pa.string())
-            )
-            rel, nbytes = self._write(delta, pid, "delta")
-            # bytes = whole live chain (old parts + new delta), so manifest
-            # byte accounting stays consistent with the files list while
-            # deltas are pending (it was just the last delta's size before).
-            chain_bytes = int(meta.get("bytes", 0)) + nbytes
-            return _stats_row(
-                pid, int(meta.get("rows", 0)), False, chain_bytes,
-                n_applied, n_del, max_lsn, rel, old_files + [rel], t0,
-                ev_max, ev_late,
-                self._zjson(rel, delta),
-            )
-
-        # Compaction / snapshot path: full merge of the file chain + changes.
-        base_tables = self._read_files(meta)
-        changes = changes.drop_columns(
-            [c for c in ROUTING_COLS if c in changes.column_names]
-        )
-        # merge_file_tables output is already doc_id-sorted (lww_compact
-        # emits winners in key order) — no extra payload sort needed
-        merged = merge_file_tables(base_tables + [changes], self.snapshot_schema)
-        rel, nbytes = self._write(merged, pid, "snapshot")
+        rel, nbytes = self._write(merged, pid, "append" if append else "snapshot")
         return _stats_row(
-            pid, merged.num_rows, True, nbytes,
-            n_applied, n_del, max_lsn, rel, [rel], t0, ev_max, ev_late,
-            self._zjson(rel, merged),
+            pid, merged.num_rows, True, nbytes, n_applied, n_del, max_lsn,
+            rel, [rel], t0, ev_max, ev_late,
+            _zones_json(rel, merged, self.skip_cols),
         )
 
 
 class CompactWorker:
-    """Major compaction: fold one partition's delta chain into a single clean
-    snapshot file (the write-time half of MERGE-on-read; analog of a manual
-    ``OPTIMIZE TABLE ... FINAL`` on a ReplacingMergeTree). Runs as an actor
-    pool over pid-descriptor rows; same write-once + manifest-put commit
-    protocol as MergeApply."""
+    """The one per-partition rewrite worker behind every maintenance pass:
+    fold a partition's chain (:func:`read_partition`), optionally rewrite
+    its rows, and write the result as one clean part (``snapshot-``, or
+    ``append-`` on append tables). Runs as an actor pool over
+    pid-descriptor rows, or driver-side for small passes; same write-once +
+    manifest-put commit protocol as MergeApply.
+
+    - ``rewrite=None`` is major compaction (a manual ``OPTIMIZE TABLE ...
+      FINAL`` on a ReplacingMergeTree): the folded state is written as is.
+    - ``rewrite(rows) -> (rows, n_updated, n_deleted) | None`` is a TTL
+      expiry or predicate mutation (see ``pipelines.apply``); ``None``
+      leaves the partition's chain untouched (``new_file=""``), so a pass
+      that matches nothing in a partition costs reads, never writes."""
 
     def __init__(
         self,
@@ -982,6 +884,7 @@ class CompactWorker:
         mode: str = "upsert",
         sum_cols: list[str] | tuple = (),
         skip_cols: list[str] | tuple = (),
+        rewrite=None,
     ):
         self.table_dir = table_dir
         self.epoch = epoch
@@ -990,183 +893,7 @@ class CompactWorker:
         self.mode = mode
         self.sum_cols = list(sum_cols)
         self.skip_cols = list(skip_cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        kind = "append" if self.mode == "append" else "snapshot"
-        for pid in batch.column("pid").to_pylist():
-            t0 = time.perf_counter()
-            files = self.partitions[str(pid)].get("files") or []
-            # read_partition output is doc_id-sorted (clean snapshots are
-            # stored sorted; merge_file_tables emits winners in key order);
-            # append chains concat in lsn order — both deterministic.
-            merged = read_partition(
-                self.table_dir, files, self.snapshot_schema, self.mode,
-                self.sum_cols,
-            )
-            rel, nbytes = write_part(
-                self.table_dir, pid, self.epoch, kind, merged
-            )
-            meta = self.partitions[str(pid)]
-            zj = (
-                json.dumps({rel: column_zones(merged, self.skip_cols)})
-                if self.skip_cols
-                else ""
-            )
-            out.append(
-                _stats_row(
-                    pid, merged.num_rows, True, nbytes,
-                    0, 0, int(meta["watermark_lsn"]), rel, [rel], t0,
-                    zones_json=zj,
-                )
-            )
-        return pa.concat_tables(out)
-
-
-class TTLWorker:
-    """TTL expiration rewrite: fold one partition's file chain (LWW-merged
-    for upsert tables, concatenated for append tables) and DROP rows whose
-    TTL column is strictly before the cutoff — the merge-time half of
-    ClickHouse's ``TTL <col>`` clause (rows past their TTL disappear when a
-    part is rewritten), run as an explicit maintenance pass. Null TTL values
-    never expire (ClickHouse semantics). Same write-once + manifest-put
-    commit protocol as MergeApply/CompactWorker; the driver handles the
-    cheap cases (whole-partition drops on time-partitioned tables, footer
-    min-stat pruning) so this worker only ever sees partitions that really
-    contain expired rows."""
-
-    def __init__(
-        self,
-        table_dir: str,
-        epoch: int,
-        partitions: dict[str, dict],
-        snapshot_schema_b64: str,
-        ttl_col: str,
-        cutoff_us: int,
-        mode: str = "upsert",
-        sum_cols: list[str] | tuple = (),
-        skip_cols: list[str] | tuple = (),
-    ):
-        self.table_dir = table_dir
-        self.epoch = epoch
-        self.partitions = partitions
-        self.snapshot_schema = schema_from_b64(snapshot_schema_b64)
-        self.ttl_col = ttl_col
-        self.cutoff_us = cutoff_us
-        self.mode = mode
-        self.sum_cols = list(sum_cols)
-        self.skip_cols = list(skip_cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        kind = "append" if self.mode == "append" else "snapshot"
-        for pid in batch.column("pid").to_pylist():
-            t0 = time.perf_counter()
-            meta = self.partitions[str(pid)]
-            merged = read_partition(
-                self.table_dir, meta.get("files") or [], self.snapshot_schema,
-                self.mode, self.sum_cols,
-            )
-            col = merged.column(self.ttl_col)
-            cutoff = pa.scalar(self.cutoff_us, pa.timestamp("us")).cast(col.type)
-            # keep = ttl_col >= cutoff; nulls keep (never expire)
-            keep = pc.fill_null(pc.greater_equal(col, cutoff), True)
-            if self.mode == "collapse":
-                # an expiring winner must take its key's adjustment rows
-                # with it: adjustments carry null payloads (null TTL never
-                # expires), so leaving them would turn a revivable cancelled
-                # key (net 0) into an unrevivable one (net -1). Drop the
-                # WHOLE key when its winner row expires; winnerless
-                # adjustment keys have no TTL value and persist until a
-                # mutation removes them (documented semantics).
-                sign = merged.column("sign")
-                ver = merged.column("lsn")
-                winner_mask = pc.and_(
-                    pc.fill_null(
-                        pc.greater(sign, pa.scalar(0).cast(sign.type)), False
-                    ),
-                    pc.is_valid(ver),
-                )
-                expired_keys = merged.filter(
-                    pc.and_(winner_mask, pc.invert(keep))
-                ).column("doc_id")
-                if len(expired_keys):
-                    keep = pc.and_(
-                        keep,
-                        pc.invert(
-                            pc.is_in(
-                                merged.column("doc_id"),
-                                value_set=expired_keys.combine_chunks(),
-                            )
-                        ),
-                    )
-            kept = merged.filter(keep)
-            expired = merged.num_rows - kept.num_rows
-            rel, nbytes = write_part(self.table_dir, pid, self.epoch, kind, kept)
-            zj = (
-                json.dumps({rel: column_zones(kept, self.skip_cols)})
-                if self.skip_cols
-                else ""
-            )
-            out.append(
-                _stats_row(
-                    pid, kept.num_rows, True, nbytes,
-                    0, expired, int(meta["watermark_lsn"]), rel, [rel], t0,
-                    zones_json=zj,
-                )
-            )
-        return pa.concat_tables(out)
-
-
-class MutateWorker:
-    """Predicate mutation rewrite: the ClickHouse ``ALTER TABLE ... DELETE
-    WHERE`` / ``UPDATE ... WHERE`` mutation analog — fold one partition's
-    chain (LWW for upsert, sum-fold for sum, concat for append) and either
-    DROP the rows matching a range predicate or overwrite their ``set_cols``
-    with constants. Runs only on partitions the driver could not prune by
-    skip-index zones; a partition whose merged state matches NOTHING returns
-    its original chain untouched (``new_file=""``) so an unselective
-    mutation costs reads, never writes. Same write-once + manifest-put
-    commit protocol as MergeApply/TTLWorker."""
-
-    def __init__(
-        self,
-        table_dir: str,
-        epoch: int,
-        partitions: dict[str, dict],
-        snapshot_schema_b64: str,
-        col: str,
-        lo=None,
-        hi=None,
-        delete: bool = False,
-        set_cols: dict | None = None,
-        mode: str = "upsert",
-        sum_cols: list[str] | tuple = (),
-        skip_cols: list[str] | tuple = (),
-    ):
-        self.table_dir = table_dir
-        self.epoch = epoch
-        self.partitions = partitions
-        self.snapshot_schema = schema_from_b64(snapshot_schema_b64)
-        self.col = col
-        self.lo = lo
-        self.hi = hi
-        self.delete = delete
-        self.set_cols = dict(set_cols or {})
-        self.mode = mode
-        self.sum_cols = list(sum_cols)
-        self.skip_cols = list(skip_cols)
-
-    def _mask(self, t: pa.Table) -> pa.Array:
-        c = t.column(self.col)
-        mask = None
-        if self.lo is not None:
-            mask = pc.greater_equal(c, pa.scalar(self.lo).cast(c.type))
-        if self.hi is not None:
-            m2 = pc.less_equal(c, pa.scalar(self.hi).cast(c.type))
-            mask = m2 if mask is None else pc.and_(mask, m2)
-        # nulls never match a range predicate (SQL semantics)
-        return pc.fill_null(mask, False)
+        self.rewrite = rewrite
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = []
@@ -1175,51 +902,31 @@ class MutateWorker:
             t0 = time.perf_counter()
             meta = self.partitions[str(pid)]
             files = list(meta.get("files") or [])
-            merged = read_partition(
+            watermark = int(meta["watermark_lsn"])
+            # doc_id-sorted for keyed modes, lsn order for append chains —
+            # deterministic either way
+            rows = read_partition(
                 self.table_dir, files, self.snapshot_schema, self.mode,
                 self.sum_cols,
             )
-            mask = self._mask(merged)
-            n_hit = pc.sum(mask.cast(pa.int64())).as_py() or 0
-            if n_hit == 0:
-                # zone said "maybe" but the merged state says no: leave the
-                # chain alone (rows/bytes/files unchanged, nothing written)
-                out.append(
-                    _stats_row(
+            n_upd = n_del = 0
+            if self.rewrite is not None:
+                res = self.rewrite(rows)
+                if res is None:
+                    out.append(_stats_row(
                         pid, int(meta.get("rows", 0)),
                         bool(meta.get("exact_rows", True)),
-                        int(meta.get("bytes", 0)), 0, 0,
-                        int(meta["watermark_lsn"]), "", files, t0,
-                    )
-                )
-                continue
-            if self.delete:
-                result = merged.filter(pc.invert(mask))
-                n_del, n_upd = n_hit, 0
-            else:
-                result = merged
-                for name, value in self.set_cols.items():
-                    idx = result.schema.get_field_index(name)
-                    col = result.column(name)
-                    sv = pa.scalar(value).cast(col.type)
-                    new = pc.if_else(mask, sv, col)
-                    result = result.set_column(idx, result.schema.field(idx), new)
-                n_del, n_upd = 0, n_hit
-            rel, nbytes = write_part(
-                self.table_dir, pid, self.epoch, kind, result
-            )
-            zj = (
-                json.dumps({rel: column_zones(result, self.skip_cols)})
-                if self.skip_cols
-                else ""
-            )
-            out.append(
-                _stats_row(
-                    pid, result.num_rows, True, nbytes,
-                    n_upd, n_del, int(meta["watermark_lsn"]), rel, [rel], t0,
-                    zones_json=zj,
-                )
-            )
+                        int(meta.get("bytes", 0)), 0, 0, watermark, "", files,
+                        t0,
+                    ))
+                    continue
+                rows, n_upd, n_del = res
+            rel, nbytes = write_part(self.table_dir, pid, self.epoch, kind, rows)
+            out.append(_stats_row(
+                pid, rows.num_rows, True, nbytes, n_upd, n_del, watermark,
+                rel, [rel], t0,
+                zones_json=_zones_json(rel, rows, self.skip_cols),
+            ))
         return pa.concat_tables(out)
 
 
@@ -1269,15 +976,10 @@ class SnapshotWriter:
         rel, nbytes = write_part(
             self.table_dir, pid, self.epoch, "snapshot", rows
         )
-        zj = (
-            json.dumps({rel: column_zones(rows, self.skip_cols)})
-            if self.skip_cols
-            else ""
-        )
         stats = _stats_row(
             pid, rows.num_rows, True, nbytes,
             rows.num_rows, 0, 0, rel, [rel], t0,
-            zones_json=zj,
+            zones_json=_zones_json(rel, rows, self.skip_cols),
         )
         return stats.append_column(
             "dups_json", pa.array([json.dumps(dup_sample)], pa.string())

@@ -14,7 +14,7 @@ Here all of that is one zero-copy Arrow ``map_batches`` stage:
 - derived-column recompute: ``n_tok = len(tokens)`` invariant (mirror of the
   derived ``event_date``, pipeline.py:94-95);
 - partition assignment (pid/salt routing columns);
-- per-batch LWW pre-compaction (combiner before the shuffle).
+- per-batch change-reduce (the combiner before the shuffle).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schemas import cast_table
-from .merge import collapse_compact, lww_compact, sum_compact
+from .merge import reduce_changes
 from .partition import assign_by_spec
 
 _VALID_OPS = ("c", "u", "d")
@@ -123,7 +123,6 @@ def make_normalize_fn(
     partition_spec: dict,
     salt_factor: int = 1,
     watermark: int = 0,
-    precompact: bool = True,
     key_col: str = "doc_id",
     mode: str = "upsert",
     dlq_writer: Callable[[pa.Table], None] | None = None,
@@ -131,11 +130,12 @@ def make_normalize_fn(
     pid_watermarks: dict[str, int] | None = None,
 ) -> Callable[[pa.Table], pa.Table]:
     """Build the map_batches function for one epoch (stateless tasks).
-    Append mode: only 'c' ops are legal and there is no LWW pre-compaction
-    (every row survives). Sum mode: only 'c' ops (additive deltas — an
-    update/delete against a rollup is a pipeline bug) and the pre-compaction
-    combiner is ``sum_compact`` (partial sums shrink the shuffle exactly
-    like LWW pre-compaction does for upserts — more, on hot counter keys).
+    Append mode: only 'c' ops are legal and there is no pre-compaction
+    (every row survives). Sum and collapse modes: only 'c' ops (additive or
+    ±1 deltas — an update/delete against a rollup is a pipeline bug). Keyed
+    modes pre-compact each batch with the mode's ``reduce_changes`` (LWW
+    winners, partial sums or collapse partials shrink the shuffle — partial
+    sums more so, on hot counter keys).
 
     With ``dlq_writer`` set, malformed rows (invalid op / null lsn / null
     key) are QUARANTINED through it instead of failing the epoch — the
@@ -234,63 +234,10 @@ def make_normalize_fn(
                     keep[m] = lsn_np[m] > wm
             if not keep.all():
                 batch = batch.filter(pa.array(keep))
-        if precompact and mode == "upsert":
-            batch = lww_compact(batch, key=key_col)
-        elif precompact and mode == "sum":
-            # op/pid/salt ride along as LWW'd columns (constant per key
-            # within a batch's (pid, salt) assignment — key-hashed routing)
-            batch = sum_compact(batch, key=key_col, sum_cols=sum_cols)
-        elif precompact and mode == "collapse":
-            # collapse_compact nulls every non-key column on adjustment rows
-            # — including the routing columns — so compact on the payload
-            # columns only and re-derive pid/salt from the key afterwards
-            # (same hash, O(compacted rows))
-            routing = [c for c in ("pid", "salt") if c in batch.column_names]
-            batch = collapse_compact(batch.drop_columns(routing), key=key_col)
-            batch = assign_by_spec(batch, partition_spec, salt_factor, key_col)
+        if mode != "append":
+            # per-batch combiner: the mode's change-reduce (LWW winners,
+            # partial sums or collapse partials) shrinks the shuffle
+            batch = reduce_changes(batch, mode, sum_cols)
         return batch
-
-    return fn
-
-
-def compact_group(group: pa.Table) -> pa.Table:
-    """Pure LWW compaction of one (pid, salt) sub-group — stage 1 of the
-    salted two-level merge. Keeps tombstones (they must reach the final
-    merge); safe because every doc_id maps to exactly one (pid, salt)."""
-    return lww_compact(group)
-
-
-def make_sum_compact_group(key_col: str, sum_cols: list[str] | tuple):
-    """Sum-mode L1 compactor for the salted two-level merge: partial-sums
-    one (pid, salt) sub-group (sum_compact is associative, so L1 partials +
-    the per-pid fold equal one global pass — same argument as LWW)."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        return sum_compact(group, key=key_col, sum_cols=sum_cols)
-
-    return fn
-
-
-def make_collapse_compact_group(key_col: str):
-    """Collapse-mode L1 compactor for the salted two-level merge (the
-    partial encoding is associative under arbitrary splits — each doc_id
-    maps to exactly one (pid, salt) bucket). Routing columns are constant
-    per key within a sub-group, so they are carried through by taking them
-    from the group and re-attaching after the compact (adjustment rows
-    would otherwise null them)."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return group
-        routing = [c for c in ("pid", "salt") if c in group.column_names]
-        vals = {c: group.column(c)[0] for c in routing}
-        out = collapse_compact(group.drop_columns(routing), key=key_col)
-        for c in routing:
-            out = out.append_column(
-                c, pa.nulls(out.num_rows, group.schema.field(c).type).fill_null(
-                    vals[c]
-                )
-            )
-        return out
 
     return fn

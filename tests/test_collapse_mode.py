@@ -229,7 +229,7 @@ def test_collapse_replay_delta_chain_matches_duckdb(ray_session, tmp_path):
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, schema=SCHEMA, mode="collapse")
     replay(table, wal,
-           ApplyConfig(write_mode="delta", compact_threshold=3, max_segments=2),
+           ApplyConfig(compact_threshold=3, max_segments=2),
            final_compact=False)
     _assert_state(table, wal, state)
 
@@ -238,11 +238,14 @@ def test_collapse_distributed_salted_path(ray_session, tmp_path):
     wal, state = _canonical_wal(tmp_path, seed=9)
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, schema=SCHEMA, mode="collapse")
-    replay(table, wal,
-           ApplyConfig(write_mode="delta", compact_threshold=3,
-                       hot_detect="scan", hot_ratio=0.0, salt_factor=4,
-                       max_segments=2),
-           final_compact=False)
+    # small_epoch_events=0: distributed epochs; from epoch 2 on, hot_ratio=0
+    # salts every partition the previous epoch touched
+    stats = replay(table, wal,
+                   ApplyConfig(compact_threshold=3, hot_ratio=0.0,
+                               salt_factor=4, max_segments=2,
+                               small_epoch_events=0),
+                   final_compact=False)
+    assert any(s.get("hot_pids") for s in stats), "salted path was not exercised"
     _assert_state(table, wal, state)
 
 
@@ -250,7 +253,7 @@ def test_collapse_compaction_and_reapply(ray_session, tmp_path):
     wal, state = _canonical_wal(tmp_path, seed=13)
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, schema=SCHEMA, mode="collapse")
-    replay(table, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(table, wal, ApplyConfig(max_segments=1),
            final_compact=False)
     compact_table(table)
     _assert_state(table, wal, state)
@@ -268,7 +271,7 @@ def test_collapse_cancel_revive_across_epochs(ray_session, tmp_path):
     nxt = _write_segment(wal, 1, [("a", 1, 10.0), ("b", 1, 20.0)])
     table = str(tmp_path / "t")
     create_table(table, num_partitions=2, schema=SCHEMA, mode="collapse")
-    cfg = ApplyConfig(write_mode="delta", max_segments=1)
+    cfg = ApplyConfig(max_segments=1)
     apply_once(table, wal, cfg)
     assert snapshot_table(table).num_rows == 2
     # epoch 2: delete a
@@ -325,7 +328,7 @@ def test_collapse_generator_canonical_stream(ray_session, tmp_path):
     assert {s for s, _ in raw} == {-1, 1}
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, schema=SCHEMA, mode="collapse")
-    replay(table, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(table, wal, ApplyConfig(max_segments=1),
            final_compact=False)
     snap = snapshot_table(table)
     want = _duck_oracle(wal)
@@ -343,7 +346,7 @@ def test_collapse_epoch_diff_emits_final_state_changes(ray_session, tmp_path):
     nxt = _write_segment(wal, 1, [("a", 1, 10.0), ("b", 1, 20.0), ("c", 1, 30.0)])
     table = str(tmp_path / "t")
     create_table(table, num_partitions=2, schema=SCHEMA, mode="collapse")
-    cfg = ApplyConfig(write_mode="delta", max_segments=1)
+    cfg = ApplyConfig(max_segments=1)
     apply_once(table, wal, cfg)
     epoch1 = load_manifest(table).epoch
     # epoch 2: delete a, update b (cancel + new state)
@@ -373,17 +376,14 @@ def test_collapse_artifact_reads_are_finalized(ray_session, tmp_path):
     from clickhouse_data_pipeline_ray.functions.classifier import (
         score_table_snapshot,
     )
-    from clickhouse_data_pipeline_ray.pipelines.mv import (
-        _narrow_schema,
-        _read_chain_columns,
-    )
+    from clickhouse_data_pipeline_ray.pipelines.mv import _read_dim_columns
     from clickhouse_data_pipeline_ray.stages.merge import read_partition_final
 
     wal, state = _canonical_wal(tmp_path, seed=21)
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, schema=SCHEMA, mode="collapse")
     replay(table, wal,
-           ApplyConfig(write_mode="delta", compact_threshold=3, max_segments=2),
+           ApplyConfig(compact_threshold=3, max_segments=2),
            final_compact=False)
     man = load_manifest(table)
     fin = snapshot_table(table)  # finalized truth (matches the DuckDB oracle)
@@ -419,15 +419,11 @@ def test_collapse_artifact_reads_are_finalized(ray_session, tmp_path):
     )
     assert n == fin.num_rows
 
-    # 3. _read_chain_columns (MV partials, ANN vector derivation)
-    narrow = _narrow_schema(man, ["value"])
-    assert "sign" in narrow.names
-    vals = []
-    for pid in man.partitions:
-        files = man.partitions[pid].get("files") or []
-        if files:
-            t = _read_chain_columns(table, files, narrow, man.mode, man.sum_cols)
-            vals.extend(t.column("value").to_pylist())
+    # 3. column-pruned MV reads (the same read_partition_final path as MV
+    # partials and ANN vector derivation)
+    t = _read_dim_columns(table, ["value"])
+    assert "sign" in t.column_names  # the fold's merge keys were fetched
+    vals = t.column("value").to_pylist()
     assert sorted(vals, key=lambda v: (v is None, v)) == sorted(
         fin.column("value").to_pylist(), key=lambda v: (v is None, v)
     )

@@ -35,7 +35,7 @@ def _upsert_table(tmp_path, ray_cfg=None):
     generate_wal(wal, GenParams(total_events=3_000, events_per_segment=1_000))
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4)
-    replay(table, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(table, wal, ApplyConfig(max_segments=1),
            final_compact=False)
     return table
 
@@ -146,7 +146,7 @@ def test_sum_and_collapse_pruned_reads(ray_session, tmp_path):
         stab, num_partitions=4, schema=FACT_SNAPSHOT_SCHEMA, mode="sum",
         key_col="doc_id", sum_cols=["value"],
     )
-    replay(stab, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(stab, wal, ApplyConfig(max_segments=1),
            final_compact=False)
     full = snapshot_table(stab)
     rows = read_snapshot(stab, columns=["doc_id", "value"]).take_all()
@@ -174,7 +174,7 @@ def test_sum_and_collapse_pruned_reads(ray_session, tmp_path):
         schema=FACT_SNAPSHOT_SCHEMA.append(pa.field("sign", pa.int32())),
         mode="collapse",
     )
-    replay(ctab, cwal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(ctab, cwal, ApplyConfig(max_segments=1),
            final_compact=False)
     cfull = snapshot_table(ctab)
     crows = read_snapshot(ctab, columns=["doc_id", "value"]).take_all()

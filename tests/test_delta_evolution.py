@@ -39,7 +39,7 @@ def _drain(table_dir, wal, cfg):
 def test_mixed_schema_delta_chain_reads_and_compacts(ray_session, wal, tmp_path):
     table_dir = str(tmp_path / "t")
     create_table(table_dir, num_partitions=4)
-    cfg = ApplyConfig(max_segments=1, salt_factor=1, write_mode="delta",
+    cfg = ApplyConfig(max_segments=1, salt_factor=1,
                       compact_threshold=100)
     _drain(table_dir, wal, cfg)
 
@@ -61,7 +61,7 @@ def test_evolution_mid_chain_vs_snapshot_mode(ray_session, wal, tmp_path):
     for td in (t_delta, t_snap):
         create_table(td, num_partitions=4)
     _drain(t_delta, wal, ApplyConfig(max_segments=2, salt_factor=1,
-                                     write_mode="delta", compact_threshold=100))
+                                     compact_threshold=100))
     _drain(t_snap, wal, ApplyConfig(max_segments=2, salt_factor=1,
-                                    write_mode="snapshot"))
+                                    compact_threshold=1))
     assert snapshot_table(t_delta).equals(snapshot_table(t_snap))

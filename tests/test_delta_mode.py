@@ -39,7 +39,7 @@ def wal(tmp_path_factory):
 
 
 def _delta_cfg(**kw):
-    base = dict(max_segments=1, salt_factor=1, write_mode="delta",
+    base = dict(max_segments=1, salt_factor=1,
                 compact_threshold=100)  # high threshold: no auto-compaction
     base.update(kw)
     return ApplyConfig(**base)
@@ -74,7 +74,8 @@ def test_delta_equals_snapshot_mode(ray_session, wal, tmp_path):
     create_table(t_delta, num_partitions=4)
     create_table(t_snap, num_partitions=4)
     replay(t_delta, wal, _delta_cfg())
-    replay(t_snap, wal, ApplyConfig(salt_factor=1, write_mode="snapshot"),
+    # compact_threshold=1: every epoch rewrites its touched partitions
+    replay(t_snap, wal, ApplyConfig(salt_factor=1, compact_threshold=1),
            final_compact=False)
     assert snapshot_table(t_delta).equals(snapshot_table(t_snap))
 

@@ -60,7 +60,7 @@ def _canon(df: pd.DataFrame, key: str) -> pd.DataFrame:
 
 def test_diff_roundtrip_reproduces_target_epoch(ray_session, tmp_path):
     table, wal = _doc_table(tmp_path)
-    cfg = ApplyConfig(max_segments=2, write_mode="snapshot")
+    cfg = ApplyConfig(max_segments=2, compact_threshold=1)
     while apply_once(table, wal, cfg) is not None:
         pass
     a, b = 1, 3
@@ -81,7 +81,7 @@ def test_diff_roundtrip_reproduces_target_epoch(ray_session, tmp_path):
 
 def test_diff_to_current_and_self_diff_empty(ray_session, tmp_path):
     table, wal = _doc_table(tmp_path, n_events=2_000)
-    replay(table, wal, ApplyConfig(write_mode="snapshot"), final_compact=False)
+    replay(table, wal, ApplyConfig(compact_threshold=1), final_compact=False)
     cur = snapshot_table(table).to_pandas()
     epoch = len(cur) and __import__(
         "clickhouse_data_pipeline_ray.state.manifest", fromlist=["load_manifest"]
@@ -103,7 +103,7 @@ def test_unchanged_partitions_pruned(ray_session, tmp_path):
     from clickhouse_data_pipeline_ray.sources.wal import segment_path
 
     table, wal = _doc_table(tmp_path, n_events=4_000)
-    replay(table, wal, ApplyConfig(write_mode="delta"), final_compact=False)
+    replay(table, wal, ApplyConfig(), final_compact=False)
     tiny = pa.table(
         {
             "lsn": pa.array([4_001], pa.int64()),
@@ -116,7 +116,7 @@ def test_unchanged_partitions_pruned(ray_session, tmp_path):
         schema=CHANGE_SCHEMA,
     )
     pq.write_table(tiny, segment_path(wal, 4_001, 4_001))
-    apply_once(table, wal, ApplyConfig(write_mode="delta"))
+    apply_once(table, wal, ApplyConfig())
 
     from clickhouse_data_pipeline_ray.state.manifest import load_manifest
 

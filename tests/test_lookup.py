@@ -13,7 +13,7 @@ from clickhouse_data_pipeline_ray.pipelines import lookup as L
 from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
 
 
-def _table(tmp_path, write_mode="delta", final_compact=False):
+def _table(tmp_path, compact_threshold=8, final_compact=False):
     wal = str(tmp_path / "wal")
     generate_wal(
         wal,
@@ -26,16 +26,20 @@ def _table(tmp_path, write_mode="delta", final_compact=False):
     create_table(table, num_partitions=8)
     replay(
         table, wal,
-        ApplyConfig(max_segments=1, write_mode=write_mode),
+        ApplyConfig(max_segments=1, compact_threshold=compact_threshold),
         final_compact=final_compact,
     )
     return table
 
 
-@pytest.mark.parametrize("write_mode,compact", [("delta", False), ("snapshot", True)])
-def test_lookup_matches_snapshot(ray_session, tmp_path, write_mode, compact):
-    """Mid-delta-chain AND compacted layouts must serve identical lookups."""
-    table = _table(tmp_path, write_mode, compact)
+@pytest.mark.parametrize(
+    "compact_threshold,compact", [(8, False), (1, True)],
+    ids=["delta-False", "snapshot-True"],
+)
+def test_lookup_matches_snapshot(ray_session, tmp_path, compact_threshold, compact):
+    """Mid-delta-chain AND compacted layouts must serve identical lookups
+    (compact_threshold=1 rewrites every touched partition each epoch)."""
+    table = _table(tmp_path, compact_threshold, compact)
     snap = snapshot_table(table).to_pandas().set_index("doc_id")
     live = list(snap.index[:5]) + list(snap.index[-5:])
     got = L.lookup_keys(table, live + ["nope-123"]).to_pandas()

@@ -208,3 +208,54 @@ def test_mutation_zones_stay_fresh(ray_session, tmp_path):
     )
     ds, _ = read_where(table, "n_tok", lo=0, hi=100)
     assert ds.count() == 0
+
+
+@pytest.mark.parametrize("mode", ["upsert", "collapse"])
+def test_maintenance_on_actor_pool_matches_driver_side(
+    ray_session, tmp_path, monkeypatch, mode
+):
+    """Compaction, TTL expiry and a mutation send the rewrite worker (and
+    its row rewrite) to a Ray actor pool above COMPACT_DRIVER_BYTES; the
+    pool must commit exactly what the driver-side run commits."""
+    import datetime as dt
+
+    from clickhouse_data_pipeline_ray.pipelines import apply as apply_mod
+    from clickhouse_data_pipeline_ray.pipelines.apply import (
+        compact_table,
+        ttl_expire,
+    )
+    from clickhouse_data_pipeline_ray.sources.gen import (
+        CollapseGenParams,
+        generate_collapse_wal,
+    )
+
+    wal = str(tmp_path / "wal")
+    schema = FACT_SNAPSHOT_SCHEMA
+    if mode == "collapse":
+        schema = schema.append(pa.field("sign", pa.int32()))
+        generate_collapse_wal(wal, CollapseGenParams(
+            total_events=1_500, events_per_segment=500, n_docs=200))
+    else:
+        generate_fact_wal(wal, FactGenParams(
+            total_events=1_500, events_per_segment=500, n_docs=200))
+
+    def run(name: str, driver_bytes: int) -> list:
+        monkeypatch.setattr(apply_mod, "COMPACT_DRIVER_BYTES", driver_bytes)
+        table = str(tmp_path / name)
+        create_table(table, num_partitions=4, schema=schema, mode=mode)
+        replay(table, wal, ApplyConfig(max_segments=1), final_compact=False)
+        steps = [
+            compact_table(table),
+            ttl_expire(table, "event_ts", dt.datetime(2024, 3, 1)),
+        ]
+        if mode == "upsert":
+            steps.append(mutate_table(
+                table, "lsn", lo=1_000, hi=1_400, set_cols={"event_type": "x"}))
+        for i, s in enumerate(steps):
+            assert s is not None, i
+            s.pop("wall_s")
+        return steps + [snapshot_table(table)]
+
+    driver, pool = run("driver", 64 << 20), run("pool", 0)
+    assert driver[:-1] == pool[:-1]
+    assert driver[-1].equals(pool[-1])

@@ -185,13 +185,13 @@ def test_upsert_mv_prunes_unchanged_partitions(ray_session, tmp_path, monkeypatc
 
     assert apply_once(table, wal, cfg) is not None  # the single update
     calls = []
-    real = mv_mod._read_chain_columns
+    real = mv_mod.read_partition_final
 
-    def spy(table_dir, files, narrow, mode, sum_cols=()):
+    def spy(table_dir, files, *args, **kwargs):
         calls.append(files)
-        return real(table_dir, files, narrow, mode, sum_cols)
+        return real(table_dir, files, *args, **kwargs)
 
-    monkeypatch.setattr(mv_mod, "_read_chain_columns", spy)
+    monkeypatch.setattr(mv_mod, "read_partition_final", spy)
     tick = refresh_mv(table, wal, "by_source")
     assert tick["changed_pids"] == 1
     assert len(calls) == 1

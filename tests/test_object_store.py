@@ -151,7 +151,7 @@ def _prepared(kind, wal, tmp_path):
         "apply_micro": CFG,
         "apply_distributed": DIST_CFG,
         "apply_snapshot": ApplyConfig(max_segments=2, salt_factor=1,
-                                      write_mode="snapshot"),
+                                      compact_threshold=1),
     }
     if kind in apply_cfgs:
         return table, lambda: apply_once(table, wal, apply_cfgs[kind])
@@ -313,7 +313,7 @@ def test_object_compaction_crash_and_gc_grace(ray_session, wal, tmp_path, monkey
     create_table(table, num_partitions=4)
     replay(table, wal,
            ApplyConfig(max_segments=1, salt_factor=1, compact_threshold=100,
-                       write_mode="delta", small_epoch_events=0),
+                       small_epoch_events=0),
            final_compact=False)
     before_snap = snapshot_table(table)
     before_epoch = load_manifest(table).epoch

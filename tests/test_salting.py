@@ -34,9 +34,13 @@ def test_salted_equals_unsalted_and_oracle(ray_session, wal, tmp_path):
     t_salted, t_plain = str(tmp_path / "salted"), str(tmp_path / "plain")
     create_table(t_salted, num_partitions=4)
     create_table(t_plain, num_partitions=4)
-    # hot_ratio=0 + exact scan forces every partition down the salted path.
+    # hot_ratio=0 sends every partition the previous epoch touched down the
+    # salted path; small_epoch_events=0 + max_segments=2 run three
+    # distributed epochs, so epochs 2 and 3 have a histogram to salt from.
     stats = replay(
-        t_salted, wal, ApplyConfig(salt_factor=4, hot_ratio=0.0, hot_detect="scan")
+        t_salted, wal,
+        ApplyConfig(salt_factor=4, hot_ratio=0.0, max_segments=2,
+                    small_epoch_events=0),
     )
     assert any(s.get("hot_pids") for s in stats), "salted path was not exercised"
     replay(t_plain, wal, ApplyConfig(salt_factor=1))
@@ -50,7 +54,9 @@ def test_hot_detection_triggers_on_skew(ray_session, wal, tmp_path):
     # Few partitions + aggressive threshold: the hottest pid should trip it.
     create_table(table_dir, num_partitions=8)
     stats = replay(
-        table_dir, wal, ApplyConfig(salt_factor=4, hot_ratio=1.5, hot_detect="scan")
+        table_dir, wal,
+        ApplyConfig(salt_factor=4, hot_ratio=1.5, max_segments=2,
+                    small_epoch_events=0),
     )
     assert_snapshots_equal(snapshot_table(table_dir), replay_oracle(wal))
 
@@ -66,7 +72,7 @@ def test_prev_epoch_hot_prediction(ray_session, wal, tmp_path):
         # small_epoch_events=0: this test is specifically about the
         # distributed salted plan, which the micro-epoch fast path skips
         ApplyConfig(max_segments=2, salt_factor=4, hot_ratio=1.05,
-                    hot_detect="prev", small_epoch_events=0),
+                    small_epoch_events=0),
     )
     applies = [s for s in stats if not s.get("compaction")]
     assert len(applies) >= 2
@@ -101,5 +107,5 @@ def test_salting_skipped_on_non_hash_partition_spec():
         partition_spec={"kind": "time", "col": "event_ts", "granularity": "month"},
         last_applied={"0": 1_000_000, "1": 10},  # wildly skewed history
     )
-    hot, _ = _detect_hot_pids(man, None, ApplyConfig())
+    hot = _detect_hot_pids(man, ApplyConfig())
     assert hot == []

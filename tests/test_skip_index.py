@@ -162,7 +162,7 @@ def test_upsert_partition_pruning_sound_and_effective(ray_session, tmp_path):
     _doc_segment(wal, nxt, by_pid[2][:3], [205, 206, 207], op="u")
     table = str(tmp_path / "t")
     create_table(table, num_partitions=4, skip_cols=["n_tok"])
-    replay(table, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(table, wal, ApplyConfig(max_segments=1),
            final_compact=False)
 
     ds, plan = read_where(table, "n_tok", lo=200, hi=299)
@@ -248,7 +248,7 @@ def test_compaction_and_gc_keep_zones_consistent(ray_session, tmp_path):
     _doc_segment(wal, nxt, by_pid[0][:2], [20, 21], op="u")
     table = str(tmp_path / "t")
     create_table(table, num_partitions=2, skip_cols=["n_tok"])
-    replay(table, wal, ApplyConfig(write_mode="delta", max_segments=1),
+    replay(table, wal, ApplyConfig(max_segments=1),
            final_compact=False)
     compact_table(table)
     man = load_manifest(table)

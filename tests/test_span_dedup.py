@@ -135,3 +135,32 @@ def test_randomized_corpora_match_oracle(ray_session):
         got = _run(docs, num_blocks=int(rng.integers(1, 5)))
         want = _oracle(docs)
         assert got == want, f"trial {trial}: {got} != {want}"
+
+
+def test_null_text_document_survives(ray_session):
+    """A null-text document is a document, not a removal row: it comes back
+    with null text_clean and nothing removed, beside deduplicated peers."""
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(["a", "b", "n"], pa.string()),
+                "text": pa.array(
+                    ["x y z w v", "x y z w u", None], pa.string()
+                ),
+            }
+        )
+    )
+    t = pa.concat_tables(
+        list(span_dedup(ds, span=SPAN).iter_batches(batch_format="pyarrow"))
+    )
+    got = {
+        k: (c, r)
+        for k, c, r in zip(
+            t.column("doc_id").to_pylist(),
+            t.column("text_clean").to_pylist(),
+            t.column("n_removed_words").to_pylist(),
+        )
+    }
+    assert got["n"] == (None, 0)
+    assert got["a"] == ("x y z w v", 0)
+    assert got["b"] == ("u", 4)

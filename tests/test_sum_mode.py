@@ -177,25 +177,27 @@ def test_sum_replay_matches_duckdb_delta_chain(ray_session, tmp_path):
     table, wal = _make_sum_table(tmp_path)
     replay(
         table, wal,
-        ApplyConfig(write_mode="delta", compact_threshold=3, max_segments=1),
+        ApplyConfig(compact_threshold=3, max_segments=1),
         final_compact=False,
     )
     _assert_matches_oracle(snapshot_table(table), _duck_oracle(wal))
 
 
 def test_sum_replay_distributed_path_and_salting(ray_session, tmp_path):
-    """hot_detect='scan' forces the full Dataset plan (no driver micro-epoch
-    shortcut) and hot_ratio=0 salts EVERY partition — exercising the
-    sum-aware salted L1 compactor — with identical results."""
+    """small_epoch_events=0 forces the full Dataset plan (no driver
+    micro-epoch shortcut); max_segments=2 runs two such epochs, and
+    hot_ratio=0 makes epoch 2 salt EVERY partition epoch 1 touched —
+    exercising the sum-aware salted L1 — with identical results."""
     table, wal = _make_sum_table(tmp_path)
-    replay(
+    stats = replay(
         table, wal,
         ApplyConfig(
-            write_mode="delta", compact_threshold=3, hot_detect="scan",
-            hot_ratio=0.0, salt_factor=4,
+            compact_threshold=3, hot_ratio=0.0, salt_factor=4,
+            max_segments=2, small_epoch_events=0,
         ),
         final_compact=False,
     )
+    assert any(s.get("hot_pids") for s in stats), "salted path was not exercised"
     _assert_matches_oracle(snapshot_table(table), _duck_oracle(wal))
 
 
@@ -214,7 +216,7 @@ def test_sum_compaction_preserves_state(ray_session, tmp_path):
     table, wal = _make_sum_table(tmp_path, n_events=2_000, n_docs=100)
     replay(
         table, wal,
-        ApplyConfig(write_mode="delta", compact_threshold=10, max_segments=1),
+        ApplyConfig(compact_threshold=10, max_segments=1),
         final_compact=False,
     )
     man = load_manifest(table)
@@ -259,7 +261,7 @@ def test_sum_lookup_keys(ray_session, tmp_path):
     table, wal = _make_sum_table(tmp_path, n_events=2_000, n_docs=100)
     replay(
         table, wal,
-        ApplyConfig(write_mode="delta", compact_threshold=10, max_segments=1),
+        ApplyConfig(compact_threshold=10, max_segments=1),
         final_compact=False,
     )
     man = load_manifest(table)
@@ -342,7 +344,7 @@ def test_sum_fsck_clean(ray_session, tmp_path):
     table, wal = _make_sum_table(tmp_path, n_events=2_000, n_docs=100)
     replay(
         table, wal,
-        ApplyConfig(write_mode="delta", compact_threshold=10, max_segments=1),
+        ApplyConfig(compact_threshold=10, max_segments=1),
         final_compact=False,
     )
     report = fsck_table(table)

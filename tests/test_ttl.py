@@ -206,7 +206,7 @@ def test_ttl_collapse_drops_whole_key(ray_session, tmp_path):
     # null-ts adjustment), lsn3: b state (ts=3s, stays past the cutoff)
     nxt = seg(wal, 1, [("a", 1, 10.0), ("a", -1, 10.0), ("b", 1, 20.0)])
     create_table(table, num_partitions=2, schema=schema, mode="collapse")
-    cfg = ApplyConfig(write_mode="delta", max_segments=1)
+    cfg = ApplyConfig(max_segments=1)
     apply_once(table, wal, cfg)
     snap = snapshot_table(table)
     assert snap.column("doc_id").to_pylist() == ["b"]
