@@ -8,9 +8,13 @@ both paths. Then it runs ``compact_table``, ``ttl_expire`` and
 records ``snapshot_table``, each partition's (file count, row count) and the
 step's returned stats (timings dropped).
 
-    PYTHONPATH=<checkout A> python BENCH/mode_equivalence.py run OUT_A
-    PYTHONPATH=<checkout B> python BENCH/mode_equivalence.py run OUT_B
-    python BENCH/mode_equivalence.py compare OUT_A OUT_B
+Run each side from its own checkout directory: Ray workers import the
+package from the driver's working directory, so ``PYTHONPATH`` alone would
+run the workers on whatever checkout the shell is in.
+
+    cd <checkout A> && PYTHONPATH=. python <this file> run OUT_A
+    cd <checkout B> && PYTHONPATH=. python <this file> run OUT_B
+    python <this file> compare OUT_A OUT_B
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ of Rare Words with Subword Units"). The scalable shape is the standard one:
    makes cost proportional to DISTINCT words seen per actor, not token
    occurrences (the merges are broadcast once per actor, never per batch).
 
-Incremental maintenance over a committed table rides the same
-per-partition partial engine as the NB classifier and n-gram LM
-(``classifier.refresh_table_partials``): word-count partials per pid,
+Incremental maintenance over a committed table rides the shared artifact
+refresh (``state.artifacts.refresh_table_partials``), like the NB
+classifier and n-gram LM: word-count partials per pid,
 changed-partitions-only refresh, compose == full recount at the same epoch.
 """
 
@@ -362,8 +362,8 @@ def encode_dataset(
 # --- incremental BPE over a committed table --------------------------------
 #
 # Word counts are additive across partitions exactly like NB class counts and
-# LM n-gram counts, so the table tokenizer rides the same per-partition
-# partial engine: cached (word, n) partials per pid, changed-partition-only
+# LM n-gram counts, so the table tokenizer rides the shared artifact refresh
+# (`state.artifacts`): cached (word, n) partials per pid, changed-partition-only
 # refresh, compose == full recount at the same epoch. Training from composed
 # counts is deterministic, so refresh-then-train == train-from-scratch.
 
@@ -375,25 +375,17 @@ def refresh_table_bpe(
 ) -> dict:
     """Build/refresh per-partition word-count partials over a committed
     table's merged snapshot."""
+    from ..state.artifacts import refresh_table_partials
     from ..state.manifest import load_manifest
-
-    from .classifier import refresh_table_partials
 
     man = load_manifest(table_dir)
     if text_col not in man.schema.names:
         raise ValueError(f"column {text_col!r} not in table schema")
     params = {"artifact": "bpe", "text_col": text_col}
 
-    def derive_partial(snap: pa.Table, pid: int) -> pa.Table:
-        part = word_count_partial(snap, text_col) if snap.num_rows else pa.table(
-            {"word": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-        )
-        return part.append_column(
-            "pid", pa.array(np.full(part.num_rows, pid), pa.int64())
-        )
-
     return refresh_table_partials(
-        table_dir, model_dir, params, derive_partial, columns=[text_col]
+        table_dir, model_dir, params,
+        lambda snap: word_count_partial(snap, text_col), columns=[text_col],
     )
 
 
@@ -408,18 +400,12 @@ def load_table_bpe(
     independent) and train merges deterministically."""
     import pyarrow.dataset as pds
 
-    part_dir = os.path.join(model_dir, "partials")
-    # an EMPTY table legitimately refreshes to zero partial files (Ray's
-    # write_parquet emits nothing for an all-empty dataset), leaving a
-    # schema-less hive dir — train on empty counts instead of crashing
-    try:
-        dset = pds.dataset(part_dir, format="parquet", partitioning="hive")
-        empty = "word" not in dset.schema.names
-    except FileNotFoundError:
-        empty = True
-    if empty:
+    from ..state.artifacts import load_meta, partial_files
+
+    files = partial_files(model_dir, load_meta(model_dir))
+    if not files:  # an empty table refreshes to zero partial files
         return train_bpe_from_counts([], np.array([], dtype=np.int64), num_merges)
-    t = dset.to_table(columns=["word", "n"]).to_pandas()
+    t = pds.dataset(files, format="parquet").to_table(columns=["word", "n"]).to_pandas()
     g = t.groupby("word", sort=False)["n"].sum()
     g = g[g >= min_count]
     g = g.sort_values(ascending=False, kind="stable")

@@ -41,10 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 from pandas.util import hash_array
 
 import ray
 import ray.data
+
+from ..state.artifacts import load_meta, partial_files, refresh_table_partials
 
 # Partial-row budget for the driver-side count combine during TRAINING;
 # above it the final combine stays in the cluster (groupby over packed
@@ -505,20 +508,16 @@ def classify(
 # --- incremental classifier over a committed table ------------------------
 #
 # NB counts are ADDITIVE across partitions, so the model over a committed
-# table decomposes into per-partition sparse count partials that can be
-# cached and refreshed partition-by-partition — the derived-artifact
-# maintenance contract the BM25 token index and the ANN index established
-# (changed-partition-only refresh via the manifest diff, per-pid dir swap,
-# meta.json commits last). Updates and deletes are handled for free because
-# a refreshed partition's partial is REPLACED from its current merged
-# snapshot. The composed model is bitwise equal to a full retrain at the
-# same epoch (pinned in tests) because both run the same count → weight
-# formula (`_model_from_counts`).
+# table decomposes into per-partition sparse count partials maintained by
+# the shared artifact refresh (`state.artifacts.refresh_table_partials`).
+# Updates and deletes are handled for free because a refreshed partition's
+# partial is REPLACED from its current merged snapshot. The composed model
+# is bitwise equal to a full retrain at the same epoch (pinned in tests)
+# because both run the same count → weight formula (`_model_from_counts`).
 
 
 def _pid_count_partial(
-    snap: pa.Table, pid: int, label_col: str, feature_col: str,
-    dim: int, bigrams: bool,
+    snap: pa.Table, label_col: str, feature_col: str, dim: int, bigrams: bool,
 ) -> pa.Table:
     """One partition's sparse (label, bucket, count) partial; bucket == -1
     rows carry the per-label document count. Labels stay strings here (no
@@ -546,7 +545,6 @@ def _pid_count_partial(
             "label": pa.array(g["label"].astype(str)),
             "bucket": pa.array(g["bucket"].to_numpy(), pa.int64()),
             "count": pa.array(g["count"].to_numpy(), pa.int64()),
-            "pid": pa.array(np.full(len(g), pid), pa.int64()),
         }
     )
 
@@ -561,16 +559,10 @@ def refresh_table_classifier(
     bigrams: bool = True,
 ) -> dict:
     """Build — or incrementally refresh — the per-partition count partials
-    of an NB classifier over a committed table's merged snapshot.
-
-    Layout: ``partials/pid=P/*.parquet`` + ``meta.json`` holding
-    ``indexed_epoch`` and the model hyperparameters. On refresh, partitions
-    whose manifest file chains are unchanged between the indexed epoch and
-    HEAD are never opened (``pipelines.diff.changed_partitions``); changed
-    ones re-derive from their merged snapshots. Falls back to a full
-    rebuild when the indexed epoch is no longer retained, the layout
-    changed (repartition), or any hyperparameter differs. Crash safety:
-    partial dirs swap via ``os.replace``; ``meta.json`` commits LAST."""
+    of an NB classifier over a committed table's merged snapshot, with the
+    shared artifact protocol (``state.artifacts``): ``partials/pid=P/`` +
+    ``meta.json`` holding the hyperparameters; only partitions whose file
+    chains changed re-derive, and any hyperparameter change rebuilds."""
     from ..state.manifest import load_manifest
 
     man = load_manifest(table_dir)
@@ -585,124 +577,15 @@ def refresh_table_classifier(
         "alpha": alpha,
         "bigrams": bigrams,
     }
-
-    def derive_partial(snap: pa.Table, pid: int) -> pa.Table:
-        return _pid_count_partial(
-            snap, pid, label_col, feature_col, dim, bigrams
-        )
-
     return refresh_table_partials(
-        table_dir, model_dir, params, derive_partial,
+        table_dir, model_dir, params,
+        lambda snap: _pid_count_partial(
+            snap, label_col, feature_col, dim, bigrams
+        ),
         # pushdown: counts touch only the label + feature columns — the
         # wide payload never leaves parquet
         columns=list(dict.fromkeys([label_col, feature_col])),
     )
-
-
-def refresh_table_partials(
-    table_dir: str,
-    model_dir: str,
-    params: dict,
-    derive_partial,
-    columns: list[str] | None = None,
-) -> dict:
-    """The generic per-partition derived-counts maintenance engine (shared
-    by the NB classifier and the n-gram LM): cache ``derive_partial(merged
-    partition snapshot, pid)`` outputs under ``partials/pid=P/``, refresh
-    changed-partition-only via the manifest diff, swap per-pid dirs, commit
-    ``meta.json`` LAST (crash-safe/idempotent), and force a full rebuild
-    when any ``params`` entry differs or the indexed epoch is unretained.
-    ``derive_partial`` must return a table that includes an int64 ``pid``
-    column (the hive partition key of the cache layout). ``columns`` pushes
-    projection into the partition reads — derive functions that touch one
-    feature column should pass it so the wide payload never leaves parquet."""
-    import shutil
-
-    from ..state.manifest import load_manifest
-
-    man = load_manifest(table_dir)
-    meta_path = os.path.join(model_dir, "meta.json")
-    old = None
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            old = json.load(f)
-    all_pids = sorted(man.partitions, key=int)
-    pids: list[str] = all_pids
-    if old and all(old.get(k) == v for k, v in params.items()):
-        try:
-            from ..pipelines.diff import changed_partitions
-
-            pids = [
-                str(c["pid"])
-                for c in changed_partitions(
-                    table_dir, old["indexed_epoch"], man.epoch
-                )
-            ]
-        except Exception:
-            old = None  # layout change / un-retained epoch → full rebuild
-    else:
-        old = None  # hyperparameters differ → a mixed model would be garbage
-
-    part_dir = os.path.join(model_dir, "partials")
-    if old is None:
-        # FULL REBUILD: invalidate meta.json BEFORE touching partials — a
-        # crash mid-rebuild must leave "no meta" (next refresh rebuilds
-        # cleanly), never an old meta describing new-params partials (a
-        # later refresh with the old params would take the incremental path
-        # over mixed-hyperparameter counts and compose silently wrong
-        # models). The incremental path needs no such step: its per-pid
-        # swaps are idempotent under the unchanged meta.
-        if os.path.exists(meta_path):
-            os.remove(meta_path)
-        # wipe everything: partials of partitions no longer in the manifest
-        # (post-repartition) must not survive as live counts
-        shutil.rmtree(part_dir, ignore_errors=True)
-    if pids:
-        files_by_pid = {
-            p: (man.partitions[p].get("files") or []) for p in pids
-        }
-        schema, mode = man.schema, man.mode
-        sum_cols = man.sum_cols
-
-        def derive(batch: pa.Table) -> pa.Table:
-            # read_partition_final: collapse tables contribute alive winners
-            # only — partial artifacts counted over cancelled-key winner rows
-            # or null-payload adjustment rows would poison the model counts
-            from ..stages.merge import read_partition_final
-
-            out = []
-            for pid in batch.column("pid").to_pylist():
-                files = files_by_pid.get(str(pid)) or []
-                snap = (
-                    read_partition_final(
-                        table_dir, files, schema, mode, sum_cols, columns
-                    )
-                    if files
-                    else schema.empty_table()
-                )
-                out.append(derive_partial(snap, int(pid)))
-            return pa.concat_tables(out)
-
-        tmp_dir = part_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        ray.data.from_items([{"pid": int(p)} for p in pids]).map_batches(
-            derive, batch_format="pyarrow", batch_size=1
-        ).write_parquet(tmp_dir, partition_cols=["pid"])
-        os.makedirs(part_dir, exist_ok=True)
-        for p in pids:  # emptied partitions simply have no new dir
-            shutil.rmtree(os.path.join(part_dir, f"pid={p}"), ignore_errors=True)
-        if os.path.isdir(tmp_dir):
-            for pdir in os.listdir(tmp_dir):
-                dst = os.path.join(part_dir, pdir)
-                shutil.rmtree(dst, ignore_errors=True)
-                os.replace(os.path.join(tmp_dir, pdir), dst)
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-
-    meta = {**params, "indexed_epoch": man.epoch}
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(meta_path + ".tmp", meta_path)
-    return {**meta, "refreshed_pids": sorted(pids, key=int)}
 
 
 def load_table_model(
@@ -715,36 +598,25 @@ def load_table_model(
     and only the ≤ C·(dim+1)-row matrix reaches the driver."""
     import pyarrow.dataset as pds
 
-    with open(os.path.join(model_dir, "meta.json")) as f:
-        meta = json.load(f)
-    part_dir = os.path.join(model_dir, "partials")
-    # an EMPTY table refreshes to zero partial files (write_parquet emits
-    # nothing for an all-empty dataset) → a schema-less hive dir; compose
-    # the zero-count model instead of crashing on the missing columns
-    try:
-        dset = pds.dataset(part_dir, format="parquet", partitioning="hive")
-        no_data = "label" not in dset.schema.names
-    except FileNotFoundError:
-        no_data = True
-    if no_data:
+    meta = load_meta(model_dir)
+    files = partial_files(model_dir, meta)
+    total_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    if not files:
+        # an EMPTY table refreshes to zero partial files: compose the
+        # zero-count model instead of crashing on the missing columns
         import pandas as pd
 
         g = pd.DataFrame({"label": [], "bucket": [], "count": []})
-        total_rows = 0
-    else:
-        total_rows = sum(
-            frag.metadata.num_rows for frag in dset.get_fragments()
-        )
-    if no_data:
-        pass
     elif total_rows <= driver_limit:
-        t = dset.to_table(columns=["label", "bucket", "count"]).to_pandas()
+        t = pds.dataset(files, format="parquet").to_table(
+            columns=["label", "bucket", "count"]
+        ).to_pandas()
         g = t.groupby(["label", "bucket"], as_index=False)["count"].sum()
     else:
         from ray.data.aggregate import Sum
 
         g = (
-            ray.data.read_parquet(part_dir, columns=["label", "bucket", "count"])
+            ray.data.read_parquet(files, columns=["label", "bucket", "count"])
             .groupby(["label", "bucket"])
             .aggregate(Sum("count", alias_name="count"))
             .to_pandas()

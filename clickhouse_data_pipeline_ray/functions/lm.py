@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -50,7 +51,6 @@ from .classifier import (
     _features_of,
     _kind_of,
     aggregate_sparse_counts,
-    refresh_table_partials,
     score_table_snapshot,
 )
 
@@ -299,10 +299,10 @@ def score_lm(
 # --- incremental LM over a committed table ---------------------------------
 #
 # n-gram counts are additive across partitions exactly like NB class counts,
-# so the LM over a committed table rides the same per-partition partial
-# maintenance engine (`classifier.refresh_table_partials`): cached sparse
-# (key, count) partials per pid, changed-partition-only refresh, compose ==
-# full retrain at the same epoch.
+# so the LM over a committed table rides the shared artifact refresh
+# (`state.artifacts.refresh_table_partials`): cached sparse (key, count)
+# partials per pid, changed-partition-only refresh, compose == full retrain
+# at the same epoch.
 
 
 def refresh_table_lm(
@@ -315,6 +315,7 @@ def refresh_table_lm(
     """Build/refresh per-partition n-gram count partials over a committed
     table's merged snapshot. Key layout matches ``train_lm``: [0, dim_u)
     unigrams, [dim_u, dim_u+dim_b) bigrams, last key = token total."""
+    from ..state.artifacts import refresh_table_partials
     from ..state.manifest import load_manifest
 
     man = load_manifest(table_dir)
@@ -329,7 +330,7 @@ def refresh_table_lm(
     }
     size = dim_u + dim_b + 1
 
-    def derive_partial(snap: pa.Table, pid: int) -> pa.Table:
+    def derive_partial(snap: pa.Table) -> pa.Table:
         uni, _, _, bi = _grams(snap.column(feature_col), dim_u, dim_b)
         keys = np.concatenate(
             [
@@ -343,7 +344,6 @@ def refresh_table_lm(
             {
                 "key": pa.array(uk, pa.int64()),
                 "count": pa.array(counts, pa.int64()),
-                "pid": pa.array(np.full(len(uk), pid), pa.int64()),
             }
         )
 
@@ -360,29 +360,19 @@ def load_table_lm(
     whether the reduce runs on the driver or in-cluster)."""
     import pyarrow.dataset as pds
 
-    with open(os.path.join(model_dir, "meta.json")) as f:
-        meta = json.load(f)
+    from ..state.artifacts import load_meta, partial_files
+
+    meta = load_meta(model_dir)
     dim_u, dim_b = int(meta["dim_u"]), int(meta["dim_b"])
     size = dim_u + dim_b + 1
-    part_dir = os.path.join(model_dir, "partials")
-    # empty-table refresh → zero partial files → schema-less hive dir:
-    # compose the zero-count LM instead of crashing (same contract as the
-    # classifier/BPE loaders)
-    try:
-        dset = pds.dataset(part_dir, format="parquet", partitioning="hive")
-        no_data = "key" not in dset.schema.names
-    except FileNotFoundError:
-        no_data = True
-    total_rows = (
-        0
-        if no_data
-        else sum(frag.metadata.num_rows for frag in dset.get_fragments())
-    )
+    # an empty table refreshes to zero partial files: zero-count LM
+    files = partial_files(model_dir, meta)
+    total_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     counts = np.zeros(size, dtype=np.int64)
-    if no_data:
+    if not files:
         pass
     elif total_rows <= driver_limit:
-        t = dset.to_table(columns=["key", "count"])
+        t = pds.dataset(files, format="parquet").to_table(columns=["key", "count"])
         np.add.at(
             counts,
             t.column("key").to_numpy(zero_copy_only=False),
@@ -392,7 +382,7 @@ def load_table_lm(
         from ray.data.aggregate import Sum
 
         t = (
-            ray.data.read_parquet(part_dir, columns=["key", "count"])
+            ray.data.read_parquet(files, columns=["key", "count"])
             .groupby("key")
             .aggregate(Sum("count", alias_name="count"))
             .to_pandas()

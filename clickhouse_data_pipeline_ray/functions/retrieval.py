@@ -494,18 +494,17 @@ def hybrid_topk(
 
 
 # ---------------------------------------------------------------------------
-# Incremental token index over a COMMITTED table — derived-artifact
-# maintenance wired into the CDC engine's lineage: the postings layout is
-# partitioned by (term bucket, table partition), so a refresh after new
-# apply epochs re-derives ONLY the table partitions whose file chains
-# changed (the changed_partitions contract the epoch-diff pipeline uses) —
-# O(changed partitions) maintenance, not O(table). Terms are the table's
-# token IDS (the tokenized-sequence domain of the north-star schema), not
-# words; everything else (postings shape, BM25 kernel) is shared with the
-# text index above.
+# Incremental token index over a COMMITTED table — one of the table-derived
+# artifacts kept by the shared refresh (state/artifacts.py): each table
+# partition's postings are one partial, split into term-hash bucket files,
+# so a refresh after new apply epochs re-derives ONLY the partitions whose
+# file chains changed — O(changed partitions) maintenance, not O(table).
+# Terms are the table's token IDS (the tokenized-sequence domain of the
+# north-star schema), not words; everything else (postings shape, BM25
+# kernel) is shared with the text index above.
 # ---------------------------------------------------------------------------
 
-STATS_BUCKET = -1  # sentinel partition carrying per-pid (n_docs, sum_len)
+STATS_BUCKET = -1  # sentinel bucket carrying per-pid (n_docs, sum_len)
 
 
 def _token_buckets(terms: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -516,11 +515,11 @@ def _token_buckets(terms: np.ndarray, num_buckets: int) -> np.ndarray:
     )
 
 
-def _pid_postings(t: pa.Table, pid: int, num_buckets: int, tokens_col: str) -> pa.Table:
-    """Postings rows (bucket, term, doc_id, tf, dl, pid) for one partition's
+def _pid_postings(t: pa.Table, num_buckets: int, tokens_col: str) -> pa.Table:
+    """Postings rows (bucket, term, doc_id, tf, dl) for one partition's
     merged snapshot, plus ONE stats row (bucket=STATS_BUCKET, tf=n_docs,
-    dl=sum_len) so refresh can update corpus stats without a second pass.
-    Same vectorized shape as the text extraction (flatten → unique pairs)."""
+    dl=sum_len) that queries sum into the corpus stats. Same vectorized
+    shape as the text extraction (flatten → unique pairs)."""
     lists = t.column(tokens_col).combine_chunks()
     lens = pc.fill_null(pc.list_value_length(lists), 0).cast(pa.int64()).to_numpy(
         zero_copy_only=False
@@ -536,7 +535,6 @@ def _pid_postings(t: pa.Table, pid: int, num_buckets: int, tokens_col: str) -> p
             "doc_id": pa.array([None], did_type),
             "tf": pa.array([t.num_rows], pa.int64()),
             "dl": pa.array([int(lens.sum())], pa.int64()),
-            "pid": pa.array([pid], pa.int64()),
         }
     )
     if len(flat) == 0:
@@ -553,7 +551,6 @@ def _pid_postings(t: pa.Table, pid: int, num_buckets: int, tokens_col: str) -> p
             "doc_id": pa.array(doc_ids[prow]),
             "tf": pa.array(tf.astype(np.int64)),
             "dl": pa.array(lens[prow]),
-            "pid": pa.array(np.full(len(terms), pid, np.int64)),
         }
     )
     return pa.concat_tables([body, stats.cast(body.schema)])
@@ -566,143 +563,31 @@ def refresh_table_token_index(
     tokens_col: str = "tokens",
 ) -> dict:
     """Build — or incrementally refresh — a token-postings BM25 index over a
-    committed table's merged snapshot.
+    committed table's merged snapshot, with the shared artifact protocol
+    (``state.artifacts``): ``postings/pid=P/bucket=B.parquet`` + ``meta.json``.
+    Only partitions whose file chains changed re-derive; updates and deletes
+    are handled for free because a partition's postings are REPLACED from its
+    current merged snapshot. A different ``num_buckets`` or ``tokens_col``
+    rebuilds. Corpus stats live in each partition's STATS_BUCKET file.
 
-    Layout: ``postings/bucket=B/pid=P/*.parquet`` + ``meta.json`` holding
-    ``indexed_epoch`` and per-pid corpus stats. On refresh, partitions whose
-    manifest file chains are identical between the indexed epoch and the
-    current one are provably unchanged and never opened (the epoch-diff
-    pruning contract, pipelines/diff.py); only changed partitions re-derive,
-    and updates/deletes are handled for free because each partition's
-    postings are REPLACED from its current merged snapshot. Falls back to a
-    full rebuild when the indexed epoch is no longer retained, the partition
-    layout changed (repartition), or ``num_buckets`` differs.
-
-    Crash safety: postings dirs swap per-partition via os.replace and
-    ``meta.json`` commits LAST — a crash mid-swap leaves the old meta, so
-    the next refresh re-derives the same changed partitions (idempotent).
-
-    Returns the new meta plus ``refreshed_pids`` (what was re-derived)."""
-    import json
-    import shutil
-
+    Returns the meta params plus ``indexed_epoch`` and ``refreshed_pids``."""
+    from ..state.artifacts import refresh_table_partials
     from ..state.manifest import load_manifest
 
-    man = load_manifest(table_dir)
-    meta_path = os.path.join(index_dir, "meta.json")
-    old = None
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            old = json.load(f)
-    all_pids = sorted(man.partitions, key=int)
-    pids: list[str] = all_pids
-    if (
-        old
-        and old.get("num_buckets") == num_buckets
-        and old.get("tokens_col") == tokens_col  # mixed-column index = garbage
-    ):
-        try:
-            from ..pipelines.diff import changed_partitions
-
-            changed = changed_partitions(
-                table_dir, old["indexed_epoch"], man.epoch
-            )
-            pids = [str(c["pid"]) for c in changed]
-        except Exception:
-            old = None  # layout change / un-retained epoch → full rebuild
-    else:
-        old = None  # incompatible layout (bucket count / term column)
-
-    post_dir = os.path.join(index_dir, "postings")
-    if old is None:
-        # full rebuild: wipe EVERYTHING first, or postings of partitions no
-        # longer in the manifest (e.g. after a repartition) would survive
-        # the per-pid clearing below and be read as live duplicates
-        shutil.rmtree(post_dir, ignore_errors=True)
-    if pids:
-        files_by_pid = {
-            p: (man.partitions[p].get("files") or []) for p in pids
-        }
-
-        def derive(batch: pa.Table) -> pa.Table:
-            # read_partition_final: collapse tables index alive winners only
-            # (cancelled keys' winner rows / null adjustment rows would
-            # otherwise enter the postings as live documents)
-            from ..stages.merge import read_partition_final
-
-            out = []
-            for pid in batch.column("pid").to_pylist():
-                files = files_by_pid.get(str(pid)) or []
-                snap = (
-                    read_partition_final(
-                        table_dir, files, man.schema, man.mode, man.sum_cols,
-                        # postings touch doc_id + the token lists only
-                        columns=["doc_id", tokens_col],
-                    )
-                    if files
-                    else man.schema.empty_table()
-                )
-                out.append(_pid_postings(snap, int(pid), num_buckets, tokens_col))
-            return pa.concat_tables(out)
-
-        tmp_dir = post_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        ray.data.from_items([{"pid": int(p)} for p in pids]).map_batches(
-            derive, batch_format="pyarrow", batch_size=1
-        ).write_parquet(tmp_dir, partition_cols=["bucket", "pid"])
-
-        # per-pid swap: clear every refreshed pid everywhere, then move the
-        # freshly derived dirs in (deletes/emptied partitions handled by the
-        # clearing step — they simply have no new dir)
-        os.makedirs(post_dir, exist_ok=True)
-        refreshed = set(pids)
-        for bdir in os.listdir(post_dir):
-            bpath = os.path.join(post_dir, bdir)
-            for pdir in os.listdir(bpath):
-                if pdir.split("=", 1)[-1] in refreshed:
-                    shutil.rmtree(os.path.join(bpath, pdir))
-        new_stats: dict[str, list[int]] = {}
-        for bdir in sorted(os.listdir(tmp_dir)):
-            bval = bdir.split("=", 1)[-1]
-            src_b = os.path.join(tmp_dir, bdir)
-            if bval == str(STATS_BUCKET):
-                import pyarrow.parquet as pq
-
-                for pdir in os.listdir(src_b):
-                    srow = pq.read_table(
-                        os.path.join(src_b, pdir), columns=["tf", "dl"]
-                    )
-                    new_stats[pdir.split("=", 1)[-1]] = [
-                        int(pc.sum(srow.column("tf")).as_py() or 0),
-                        int(pc.sum(srow.column("dl")).as_py() or 0),
-                    ]
-                continue
-            dst_b = os.path.join(post_dir, bdir)
-            os.makedirs(dst_b, exist_ok=True)
-            for pdir in os.listdir(src_b):
-                dst = os.path.join(dst_b, pdir)
-                shutil.rmtree(dst, ignore_errors=True)
-                os.replace(os.path.join(src_b, pdir), dst)
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    else:
-        new_stats = {}
-
-    per_pid = dict(old["per_pid"]) if old else {}
-    for p in pids:
-        per_pid.pop(p, None)
-    per_pid.update(new_stats)
-    per_pid = {p: per_pid[p] for p in all_pids if p in per_pid}
-    meta = {
+    doc_id_type = load_manifest(table_dir).schema.field("doc_id").type
+    params = {
         "num_buckets": num_buckets,
-        "indexed_epoch": man.epoch,
         "tokens_col": tokens_col,
-        "doc_id_type": str(man.schema.field("doc_id").type),
-        "per_pid": per_pid,
+        "doc_id_type": str(doc_id_type),
     }
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(meta_path + ".tmp", meta_path)
-    return {**meta, "refreshed_pids": sorted(pids, key=int)}
+    return refresh_table_partials(
+        table_dir, index_dir, params,
+        lambda snap: _pid_postings(snap, num_buckets, tokens_col),
+        # postings touch doc_id + the token lists only
+        columns=["doc_id", tokens_col],
+        layout="postings",
+        bucketed=True,
+    )
 
 
 def bm25_table_index_topk(
@@ -715,15 +600,18 @@ def bm25_table_index_topk(
     """BM25 top-k over a table token index: opens only the postings buckets
     the query token ids hash to (across all table partitions), scores with
     the shared dense kernel. Terms are token ids (int64)."""
-    import json
-
     import pyarrow.parquet as pq
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
-    empty = _empty_result(_type_from_name(meta.get("doc_id_type", "string")))
-    n_docs = sum(v[0] for v in meta["per_pid"].values())
-    sum_len = sum(v[1] for v in meta["per_pid"].values())
+    from ..state.artifacts import load_meta, partial_files
+
+    meta = load_meta(index_dir)
+    empty = _empty_result(_type_from_name(meta["doc_id_type"]))
+    stats = [
+        pq.read_table(p, columns=["tf", "dl"])
+        for p in partial_files(index_dir, meta, [STATS_BUCKET])
+    ]
+    n_docs = sum(pc.sum(t.column("tf")).as_py() or 0 for t in stats)
+    sum_len = sum(pc.sum(t.column("dl")).as_py() or 0 for t in stats)
     if n_docs == 0:
         return empty
     avgdl = float(sum_len) / n_docs
@@ -731,15 +619,7 @@ def bm25_table_index_topk(
     if len(qarr) == 0:
         raise ValueError("BM25 token query is empty")
     wanted = sorted(set(_token_buckets(qarr, meta["num_buckets"]).tolist()))
-    paths = [
-        os.path.join(pd_, name)
-        for bk in wanted
-        if os.path.isdir(bd := os.path.join(index_dir, "postings", f"bucket={bk}"))
-        for pdir in sorted(os.listdir(bd))
-        if os.path.isdir(pd_ := os.path.join(bd, pdir))
-        for name in sorted(os.listdir(pd_))
-        if name.endswith(".parquet")
-    ]
+    paths = partial_files(index_dir, meta, wanted)
     if not paths:
         return empty
     tbl = pa.concat_tables(

@@ -967,13 +967,12 @@ def pq_index_topk(
 
 
 # ---------------------------------------------------------------------------
-# Incremental ANN index over a COMMITTED table — the derived-artifact
-# maintenance shape retrieval.refresh_table_token_index established for
-# BM25, applied to vectors: the index lives next to the table, and a
-# refresh re-derives ONLY the partitions whose manifest file chains changed
-# since the indexed epoch (the epoch-diff pruning contract). Updates and
-# deletes are handled for free because each partition's slice is REPLACED
-# from its current merged LWW snapshot.
+# Incremental ANN index over a COMMITTED table — one of the table-derived
+# artifacts kept by the shared refresh (state/artifacts.py), applied to
+# vectors: each partition's (key, vector) rows are one partial, split into
+# coarse-bucket files, and a refresh re-derives ONLY the partitions whose
+# file chains changed. Updates and deletes are handled for free because
+# each partition's slice is REPLACED from its current merged LWW snapshot.
 # ---------------------------------------------------------------------------
 
 
@@ -985,159 +984,72 @@ def refresh_table_ann_index(
     sample_rows: int = 4096,
 ) -> dict:
     """Build — or incrementally refresh — a persisted IVF index over a
-    committed table's merged snapshot.
+    committed table's merged snapshot, with the shared artifact protocol
+    (``state.artifacts``).
 
-    Layout: ``vectors/bucket=B/pid=P/*.parquet`` (key + raw vector) +
-    ``centroids.npy`` + ``meta.json`` holding ``indexed_epoch``. The coarse
-    centroids are trained ONCE at the first build and PINNED: retraining on
-    a refresh would silently re-bucket the unchanged partitions' vectors
-    without rewriting them (stale layout). A full rebuild (layout change,
-    un-retained epoch, different n_centroids/vec_col) retrains.
-
-    Crash safety: per-partition dir swap via os.replace, ``meta.json``
-    commits LAST — a crash mid-swap leaves the old meta and the next
-    refresh re-derives the same changed partitions (idempotent)."""
-    import json
-    import shutil
-
+    Layout: ``vectors/pid=P/bucket=B.parquet`` (key + raw vector) +
+    ``vectors/_model/centroids.npy`` + ``meta.json``. The coarse centroids
+    are trained at a full rebuild and PINNED: retraining on a refresh would
+    silently re-bucket the unchanged partitions' vectors without rewriting
+    them (stale layout). A full rebuild (layout change, different
+    n_centroids/vec_col) retrains and commits the centroids in the same
+    swap as the vectors they bucketed; the old index stays searchable while
+    it derives."""
+    from ..state.artifacts import refresh_table_partials
     from ..state.manifest import load_manifest
+    from ..stages.merge import read_partition_final
 
     man = load_manifest(table_dir)
     key_col = man.key_col
-    os.makedirs(index_dir, exist_ok=True)
-    meta_path = os.path.join(index_dir, "meta.json")
-    old = None
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            old = json.load(f)
-    all_pids = sorted(man.partitions, key=int)
-    pids: list[str] = all_pids
-    if (
-        old
-        and old.get("n_centroids") == n_centroids
-        and old.get("vec_col") == vec_col
-    ):
-        try:
-            from ..pipelines.diff import changed_partitions
-
-            changed = changed_partitions(table_dir, old["indexed_epoch"], man.epoch)
-            pids = [str(c["pid"]) for c in changed]
-        except Exception:
-            old = None  # layout change / un-retained epoch → full rebuild
-    else:
-        old = None
-
-    from ..stages.merge import read_partition_final
-
-    vec_dir = os.path.join(index_dir, "vectors")
-    cents_path = os.path.join(vec_dir, "_model", "centroids.npy")
-    if old is not None and not os.path.exists(cents_path):
-        old = None  # model missing/pre-relocation layout → full rebuild
-        pids = all_pids
-    full = old is None
     cols = [key_col, vec_col]
-    if full:
-        pids = all_pids
-        # train the pinned coarse model on a snapshot sample
-        sample_parts, seen = [], 0
-        for p in all_pids:
-            files = man.partitions[p].get("files") or []
-            if not files:
-                continue
-            t = read_partition_final(
-                table_dir, files, man.schema, man.mode, man.sum_cols, columns=cols
-            )
-            sample_parts.append(t)
-            seen += t.num_rows
-            if seen >= sample_rows:
-                break
-        if not sample_parts or seen == 0:
-            raise ValueError(
-                f"table {table_dir} holds no rows to train centroids on"
-            )
-        sample = pa.concat_tables(sample_parts).slice(0, sample_rows)
-        cents = kmeans_centroids(
-            sample, n_centroids=n_centroids, sample_rows=sample_rows,
-            vec_col=vec_col,
-        )
-    else:
-        cents = np.load(cents_path)
 
-    if pids:
-        files_by_pid = {p: (man.partitions[p].get("files") or []) for p in pids}
-        schema, mode, man_sum_cols = man.schema, man.mode, list(man.sum_cols)
-
-        def derive(batch: pa.Table) -> pa.Table:
-            # `schema`/`mode` captured from the DRIVER's manifest snapshot —
-            # re-loading the manifest in the worker could pair a concurrent
-            # commit's schema with this refresh's captured file chains
-            out = []
-            for pid in batch.column("pid").to_pylist():
-                files = files_by_pid.get(str(pid)) or []
-                snap = read_partition_final(
-                    table_dir, files, schema, mode, man_sum_cols, columns=cols
-                ).select(cols)
-                if snap.num_rows:
-                    emb = _normalize(_to_matrix(snap.column(vec_col)))
-                    assign = np.argmax(emb @ cents.T, axis=1).astype(np.int32)
-                else:
-                    assign = np.empty(0, np.int32)
-                out.append(
-                    snap.append_column("bucket", pa.array(assign))
-                    .append_column(
-                        "pid",
-                        pa.array(np.full(snap.num_rows, int(pid), np.int64)),
-                    )
-                )
-            return pa.concat_tables(out)
-
-        tmp_dir = vec_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        ray.data.from_items([{"pid": int(p)} for p in pids]).map_batches(
-            derive, batch_format="pyarrow", batch_size=1
-        ).write_parquet(tmp_dir, partition_cols=["bucket", "pid"])
-
+    def pinned_centroids(root: str, full: bool):
+        path = os.path.join(root, "_model", "centroids.npy")
         if full:
-            # the live layout stays searchable while the rebuild derives;
-            # centroids commit INSIDE the same swap as the vectors they
-            # bucketed (a crash can never pair new centroids with the old
-            # layout, or leave an empty index behind a live meta)
-            model_tmp = os.path.join(tmp_dir, "_model")
-            os.makedirs(model_tmp, exist_ok=True)
-            np.save(os.path.join(model_tmp, "centroids.npy"), cents)
-            shutil.rmtree(vec_dir, ignore_errors=True)
-            os.replace(tmp_dir, vec_dir)
-        else:
-            # incremental: per-pid swap inside the existing layout (the
-            # pinned model is untouched)
-            refreshed = set(pids)
-            for bdir in os.listdir(vec_dir):
-                if not bdir.startswith("bucket="):
+            # train the pinned coarse model on a snapshot sample
+            sample_parts, seen = [], 0
+            for p in sorted(man.partitions, key=int):
+                files = man.partitions[p].get("files") or []
+                if not files:
                     continue
-                bpath = os.path.join(vec_dir, bdir)
-                for pdir in os.listdir(bpath):
-                    if pdir.split("=", 1)[-1] in refreshed:
-                        shutil.rmtree(os.path.join(bpath, pdir))
-            for bdir in sorted(os.listdir(tmp_dir)):
-                dst_b = os.path.join(vec_dir, bdir)
-                os.makedirs(dst_b, exist_ok=True)
-                for pdir in os.listdir(os.path.join(tmp_dir, bdir)):
-                    dst = os.path.join(dst_b, pdir)
-                    shutil.rmtree(dst, ignore_errors=True)
-                    os.replace(os.path.join(tmp_dir, bdir, pdir), dst)
-            shutil.rmtree(tmp_dir, ignore_errors=True)
+                t = read_partition_final(
+                    table_dir, files, man.schema, man.mode, man.sum_cols,
+                    columns=cols,
+                )
+                sample_parts.append(t)
+                seen += t.num_rows
+                if seen >= sample_rows:
+                    break
+            if not sample_parts or seen == 0:
+                raise ValueError(
+                    f"table {table_dir} holds no rows to train centroids on"
+                )
+            sample = pa.concat_tables(sample_parts).slice(0, sample_rows)
+            os.makedirs(os.path.dirname(path))
+            np.save(path, kmeans_centroids(
+                sample, n_centroids=n_centroids, sample_rows=sample_rows,
+                vec_col=vec_col,
+            ))
+        cents = np.load(path)
 
-    meta = {
-        "n_centroids": int(n_centroids),
-        "dim": int(cents.shape[1]),
-        "vec_col": vec_col,
-        "key_col": key_col,
-        "indexed_epoch": man.epoch,
-    }
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(meta_path + ".tmp", meta_path)
-    return {**meta, "refreshed_pids": sorted(pids, key=int)}
+        def derive(snap: pa.Table) -> pa.Table:
+            snap = snap.select(cols)
+            if snap.num_rows:
+                emb = _normalize(_to_matrix(snap.column(vec_col)))
+                assign = np.argmax(emb @ cents.T, axis=1).astype(np.int32)
+            else:
+                assign = np.empty(0, np.int32)
+            return snap.append_column("bucket", pa.array(assign))
+
+        return derive
+
+    params = {"n_centroids": int(n_centroids), "vec_col": vec_col, "key_col": key_col}
+    res = refresh_table_partials(
+        table_dir, index_dir, params, None, columns=cols,
+        layout="vectors", bucketed=True, prepare=pinned_centroids,
+    )
+    cents = np.load(os.path.join(index_dir, "vectors", "_model", "centroids.npy"))
+    return {**res, "dim": int(cents.shape[1])}
 
 
 def ann_table_index_topk(
@@ -1151,25 +1063,15 @@ def ann_table_index_topk(
     """Cosine top-k over a table ANN index: opens only the ``nprobe`` probed
     coarse buckets' files (across all table partitions) — EXACT within the
     probed buckets (raw vectors, no quantization)."""
-    import json
-
     import pyarrow.parquet as pq_
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    from ..state.artifacts import load_meta, partial_files
+
+    meta = load_meta(index_dir)
     cents = np.load(os.path.join(index_dir, "vectors", "_model", "centroids.npy"))
     qn = _normalize(np.asarray(queries, dtype=np.float64))
     probe = np.argsort(-(qn @ cents.T), axis=1)[:, :nprobe]
-    wanted = sorted({int(b) for row in probe for b in row})
-    paths = [
-        os.path.join(pd_, name)
-        for b in wanted
-        if os.path.isdir(bd := os.path.join(index_dir, "vectors", f"bucket={b}"))
-        for pdir in sorted(os.listdir(bd))
-        if os.path.isdir(pd_ := os.path.join(bd, pdir))
-        for name in sorted(os.listdir(pd_))
-        if name.endswith(".parquet")
-    ]
+    paths = partial_files(index_dir, meta, {int(b) for row in probe for b in row})
     if not paths:
         return pd.DataFrame(
             {"query_id": [], "rank": [], "neighbor_id": [], "score": []}

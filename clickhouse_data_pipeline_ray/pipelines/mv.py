@@ -28,13 +28,15 @@ regardless of fold order.
 Upsert (LWW) tables are supported through a DIFFERENT maintenance scheme:
 WAL folding cannot work there (an update/delete would need the OLD row's
 values — a retraction the change stream does not carry; the same reason
-ClickHouse SummingMergeTree MVs only see inserts). Instead the MV persists
-ONE grouped partial aggregate per table partition and each tick recomputes
-only the partitions whose manifest file chain changed since the last tick
-(the ``table_diff`` pruning contract: identical chain ⇒ provably identical
-state) — O(changed partitions), never O(table). The view is the sum of the
-partials; updates and tombstoned deletes are handled by construction
-because each partial is recomputed from the partition's merged LWW state.
+ClickHouse SummingMergeTree MVs only see inserts). Instead the MV is one of
+the table-derived artifacts kept by the shared refresh
+(``state.artifacts.refresh_table_partials``): ONE grouped partial aggregate
+per table partition under ``mv/<name>/partials/``, recomputed only for the
+partitions whose manifest file chain changed since the last tick (identical
+chain ⇒ provably identical state) — O(changed partitions), never O(table).
+The view is the sum of the partials; updates and tombstoned deletes are
+handled by construction because each partial is recomputed from the
+partition's merged LWW state.
 Fixed-point integer sums make partial replacement exact — incremental
 maintenance and a full recompute agree bit-for-bit. Dim enrichment is NOT
 supported on upsert MVs: a dim change would silently stale every fact
@@ -60,14 +62,15 @@ import pyarrow.parquet as pq
 
 from ..sources.wal import pending_segments
 from ..stages.merge import merge_needed_columns, read_partition_final
+from ..state.artifacts import load_meta, partial_files, refresh_table_partials
 from ..state.manifest import load_manifest
 from ..state.registry import file_lock
 
 MV_DIR = "mv"
 SPEC_NAME = "mvspec.json"
-# ticks at or below this many events run the combiner driver-side (one
-# parquet read per segment) instead of paying a Ray Dataset execution's
-# ~1 s fixed cost; large catch-up folds use the distributed path
+# append-table ticks at or below this many events run the combiner
+# driver-side (one parquet read per segment) instead of paying a Ray Dataset
+# execution's ~1 s fixed cost; large catch-up folds use the distributed path
 SMALL_TICK_EVENTS = 500_000
 
 
@@ -200,16 +203,6 @@ def register_mv(
         "state_file": None,
         "updated_at": 0.0,
     }
-    if man.mode == "upsert":
-        spec.update(
-            {
-                "num_partitions": man.num_partitions,
-                "partition_spec": man.partition_spec,
-                "pid_chains": {},
-                "pid_partials": {},
-                "watermark_epoch": -1,
-            }
-        )
     d = _mv_dir(table_dir, name)
     spec_path = os.path.join(d, SPEC_NAME)
     if os.path.exists(spec_path):
@@ -233,8 +226,15 @@ def register_mv(
 
 
 def load_mv(table_dir: str, name: str) -> dict:
-    with open(os.path.join(_mv_dir(table_dir, name), SPEC_NAME)) as f:
-        return json.load(f)
+    """The MV's spec. An upsert MV's ``watermark_epoch`` (-1 before its
+    first tick) is the epoch its partials' meta commits."""
+    d = _mv_dir(table_dir, name)
+    with open(os.path.join(d, SPEC_NAME)) as f:
+        spec = json.load(f)
+    if spec.get("table_mode") == "upsert":
+        meta = load_meta(d, missing_ok=True) or {}
+        spec["watermark_epoch"] = meta.get("indexed_epoch", -1)
+    return spec
 
 
 def list_mvs(table_dir: str) -> list[str]:
@@ -334,11 +334,12 @@ def _state_raw(table_dir: str, name: str, spec: dict | None = None) -> pd.DataFr
     spec = spec or load_mv(table_dir, name)
     d = _mv_dir(table_dir, name)
     if spec.get("table_mode", "append") == "upsert":
-        files = sorted((spec.get("pid_partials") or {}).values())
-        parts = [pq.read_table(os.path.join(d, f)) for f in files]
-        frames = [p.to_pandas() for p in parts if p.num_rows]
-        if frames:
-            return _combine_states(frames, spec)
+        meta = load_meta(d, missing_ok=True)
+        files = partial_files(d, meta) if meta else []
+        if files:
+            return _combine_states(
+                [pq.read_table(f).to_pandas() for f in files], spec
+            )
         return _empty_state(table_dir, spec, raw=True)
     if spec["state_file"]:
         return pq.read_table(os.path.join(d, spec["state_file"])).to_pandas()
@@ -591,145 +592,29 @@ def refresh_mv(table_dir: str, wal_dir: str | None, name: str) -> dict | None:
 
 
 def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
-    """Partition-incremental maintenance for an upsert-table MV.
-
-    Plan (the ``changed_partitions`` contract from pipelines/diff.py): a
-    partition whose manifest file chain equals the chain recorded at the
-    last tick is provably unchanged — its persisted partial stays. Every
-    changed partition's partial is recomputed from the partition's merged
-    LWW state (column-pruned read: group keys + measures + key/lsn only)
-    and atomically replaced; the spec swap commits the tick. Updates and
-    deletes need no retractions — the recompute sees only live rows.
-
-    A repartition (partition count / spec change) invalidates every pid's
-    chain, so the next tick is a clean full rebuild — correct, just not
-    incremental for that one tick.
-    """
+    """Partition-incremental maintenance for an upsert-table MV: the shared
+    artifact refresh over ``mv/<name>/``, each partition's partial the
+    grouped aggregate of its merged LWW state (column-pruned read: group
+    keys + measures only). Updates and deletes need no retractions — the
+    recompute sees only live rows; a repartition rebuilds every partial."""
     t0 = time.perf_counter()
     spec = load_mv(table_dir, name)
-    man = load_manifest(table_dir)
-    repartitioned = (
-        man.num_partitions != spec.get("num_partitions")
-        or man.partition_spec != spec.get("partition_spec")
-    )
-    old_chains = {} if repartitioned else dict(spec.get("pid_chains") or {})
-    cur_chains = {
-        pid: (man.partitions[pid].get("files") or []) for pid in man.partitions
-    }
-    changed = [
-        pid for pid, files in cur_chains.items() if files != old_chains.get(pid)
-    ]
-    dropped = [pid for pid in (spec.get("pid_partials") or {}) if pid not in cur_chains]
-    if not changed and not dropped:
-        if man.epoch == spec.get("watermark_epoch"):
-            return None
-        spec.update({"watermark_epoch": man.epoch, "updated_at": time.time()})
-        _atomic_json(os.path.join(_mv_dir(table_dir, name), SPEC_NAME), spec)
-        # no partial changed — don't pay a state fold just for a log field
-        return {
-            "mv": name, "epoch": man.epoch, "changed_pids": 0,
-            "groups": None,
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-
-    # columns a partial needs: non-derived group keys + measure sources +
-    # the date_from source (never the wide payload)
-    tick_cols = [c for c in _tick_columns(spec) if c != "lsn"]
     partial_fn = _tick_partial(spec)
-    changed_rows = sum(int(man.partitions[pid].get("rows") or 0) for pid in changed)
-
-    def pid_partial(pid: str) -> pa.Table:
-        t = read_partition_final(
-            table_dir, cur_chains[pid], man.schema, man.mode, man.sum_cols,
-            columns=tick_cols,
-        )
-        return partial_fn(t)
-
-    if changed_rows <= SMALL_TICK_EVENTS:
-        # latency fast path, same rationale as the append tick: recomputing
-        # a few small partials driver-side beats a Ray execution's ~1 s
-        # fixed cost; identical results (one shared combiner)
-        partials = {pid: pid_partial(pid) for pid in changed}
-    else:
-        import ray as _ray
-        import ray.data as rd
-
-        mode, schema, chains = man.mode, man.schema, dict(cur_chains)
-        scols = list(man.sum_cols)
-
-        def one(b: pa.Table) -> pa.Table:
-            out = []
-            for pid in b.column("pid").to_pylist():
-                t = read_partition_final(
-                    table_dir, chains[pid], schema, mode, scols,
-                    columns=tick_cols,
-                )
-                p = partial_fn(t)
-                out.append(
-                    p.append_column("__pid", pa.array([pid] * p.num_rows))
-                )
-            if not out:
-                return pa.table({"__pid": pa.array([], pa.string())})
-            return pa.concat_tables(out, promote_options="default")
-
-        refs = (
-            rd.from_arrow(pa.table({"pid": pa.array(changed, pa.string())}))
-            .repartition(len(changed))
-            .map_batches(one, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        blocks = [t for t in _ray.get(refs) if t.num_rows]
-        got = (
-            pa.concat_tables(blocks, promote_options="default")
-            if blocks
-            else None
-        )
-        partials = {}
-        for pid in changed:
-            if got is not None:
-                m = pc.equal(got.column("__pid"), pid)
-                partials[pid] = got.filter(m).drop_columns(["__pid"])
-            else:
-                partials[pid] = partial_fn(merge_needed_columns(
-                    man.schema, tick_cols, man.mode
-                )[0].empty_table())
-
-    # ---- commit: every changed partial (tmp + rename), then spec swap ----
-    d = _mv_dir(table_dir, name)
-    pid_partials = {} if repartitioned else dict(spec.get("pid_partials") or {})
-    for pid in dropped:
-        pid_partials.pop(pid, None)
-    for pid in changed:
-        fname = f"partial-p{int(pid):05d}-e{man.epoch:012d}.parquet"
-        tmp = os.path.join(d, f"{fname}.tmp.{os.getpid()}")
-        pq.write_table(partials[pid], tmp, compression="zstd")
-        os.replace(tmp, os.path.join(d, fname))
-        pid_partials[pid] = fname
-    spec.update(
-        {
-            "pid_chains": cur_chains,
-            "pid_partials": pid_partials,
-            "num_partitions": man.num_partitions,
-            "partition_spec": man.partition_spec,
-            "watermark_epoch": man.epoch,
-            "updated_at": time.time(),
-        }
+    res = refresh_table_partials(
+        table_dir, _mv_dir(table_dir, name), {"artifact": "mv"}, partial_fn,
+        # columns a partial needs: non-derived group keys + measure sources
+        # + the date_from source (never the wide payload)
+        columns=[c for c in _tick_columns(spec) if c != "lsn"],
     )
-    _atomic_json(os.path.join(d, SPEC_NAME), spec)
-    # GC: anything not referenced by the committed spec (replaced partials,
-    # crash orphans) — safe under the MV lock, spec is the source of truth
-    live = set(pid_partials.values())
-    for f in os.listdir(d):
-        if f.startswith("partial-") and f.endswith(".parquet") and f not in live:
-            try:
-                os.remove(os.path.join(d, f))
-            except FileNotFoundError:
-                pass
+    changed = res["refreshed_pids"]
+    if not changed and res["indexed_epoch"] == spec["watermark_epoch"]:
+        return None
     return {
         "mv": name,
-        "epoch": man.epoch,
+        "epoch": res["indexed_epoch"],
         "changed_pids": len(changed),
-        "groups": int(read_mv(table_dir, name).num_rows),
+        # no partial changed — don't pay a state fold just for a log field
+        "groups": int(read_mv(table_dir, name).num_rows) if changed else None,
         "wall_s": round(time.perf_counter() - t0, 4),
     }
 

@@ -17,6 +17,14 @@ from clickhouse_data_pipeline_ray.sources.wal import list_segments
 from clickhouse_data_pipeline_ray.state.manifest import retained_epochs
 
 
+def force_ray_venue(monkeypatch) -> None:
+    """Run every artifact refresh's per-pid derive as a Ray Data map: a
+    maintenance budget of 0 bytes leaves no pid to the driver."""
+    from clickhouse_data_pipeline_ray.pipelines import apply
+
+    monkeypatch.setattr(apply, "COMPACT_DRIVER_BYTES", 0)
+
+
 def head_manifest_path(table_dir: str) -> str:
     """The table's current (highest) versioned manifest."""
     return os.path.join(table_dir, f"manifest-{retained_epochs(table_dir)[-1]:06d}.json")

@@ -21,6 +21,8 @@ from clickhouse_data_pipeline_ray.state.artifacts import (
     register_artifact,
 )
 
+from .helpers import force_ray_venue
+
 PARAMS = GenParams(
     total_events=3_000, base_events=1_200, events_per_segment=750, seed=97,
     tok_min=4, tok_max=40, mix=(0.3, 0.55, 0.15),
@@ -28,14 +30,19 @@ PARAMS = GenParams(
 CFG = ApplyConfig(max_segments=2, salt_factor=1, small_epoch_events=0)
 
 
-@pytest.fixture(scope="module")
-def table(ray_session, tmp_path_factory):
-    wal_dir = str(tmp_path_factory.mktemp("wal"))
+def _build(wal_dir, table_dir):
     generate_wal(wal_dir, PARAMS)
-    table_dir = str(tmp_path_factory.mktemp("tbl") / "t")
     create_table(table_dir, num_partitions=6)
     assert apply_once(table_dir, wal_dir, CFG) is not None
     return table_dir, wal_dir
+
+
+@pytest.fixture(scope="module")
+def table(ray_session, tmp_path_factory):
+    return _build(
+        str(tmp_path_factory.mktemp("wal")),
+        str(tmp_path_factory.mktemp("tbl") / "t"),
+    )
 
 
 def test_register_validates(ray_session, table, tmp_path):
@@ -101,3 +108,10 @@ def test_refresh_all_then_incremental(ray_session, table, tmp_path):
         dim=1 << 12,
     )
     np.testing.assert_array_equal(composed.feature_counts, direct.feature_counts)
+
+
+def test_refresh_all_then_incremental_ray_venue(ray_session, tmp_path, monkeypatch):
+    """The same refresh with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    fresh = _build(str(tmp_path / "wal"), str(tmp_path / "t"))
+    test_refresh_all_then_incremental(ray_session, fresh, tmp_path)

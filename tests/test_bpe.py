@@ -26,6 +26,8 @@ from clickhouse_data_pipeline_ray.functions.bpe import (
     word_count_partial,
 )
 
+from .helpers import force_ray_venue
+
 SENNRICH = (["low", "lower", "newest", "widest"], np.array([5, 2, 6, 3]))
 
 
@@ -174,6 +176,15 @@ def test_table_bpe_incremental_composes_to_retrain(ray_session, tmp_path):
     # second refresh with no new epochs: no partition re-derived
     meta2 = refresh_table_bpe(table, model_dir, text_col="source")
     assert meta2["refreshed_pids"] == []
+
+
+
+def test_table_bpe_incremental_composes_to_retrain_ray_venue(
+    ray_session, tmp_path, monkeypatch
+):
+    """The same refresh with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    test_table_bpe_incremental_composes_to_retrain(ray_session, tmp_path)
 
 
 def test_empty_table_partials_compose_cleanly(ray_session, tmp_path):

@@ -22,6 +22,8 @@ from clickhouse_data_pipeline_ray.schemas import FACT_SNAPSHOT_SCHEMA
 from clickhouse_data_pipeline_ray.sources.gen import FactGenParams, generate_fact_wal
 from clickhouse_data_pipeline_ray.sources.wal import truncate_wal
 
+from .helpers import force_ray_venue
+
 MV_SUMS = [{"col": "value", "scale": 1000, "name": "sum_value_milli"}]
 
 
@@ -175,7 +177,7 @@ def test_upsert_mv_incremental_equals_recompute_every_tick(ray_session, tmp_path
 def test_upsert_mv_prunes_unchanged_partitions(ray_session, tmp_path, monkeypatch):
     """A one-event epoch changes exactly one partition's chain — the tick
     must recompute exactly that one partial (the others are never read)."""
-    import clickhouse_data_pipeline_ray.pipelines.mv as mv_mod
+    import clickhouse_data_pipeline_ray.state.artifacts as artifacts_mod
 
     table, wal = _up_make(tmp_path, n_events=201, per_seg=200,
                           mix=(0.0, 1.0, 0.0))
@@ -185,13 +187,13 @@ def test_upsert_mv_prunes_unchanged_partitions(ray_session, tmp_path, monkeypatc
 
     assert apply_once(table, wal, cfg) is not None  # the single update
     calls = []
-    real = mv_mod.read_partition_final
+    real = artifacts_mod.read_partition_final
 
     def spy(table_dir, files, *args, **kwargs):
         calls.append(files)
         return real(table_dir, files, *args, **kwargs)
 
-    monkeypatch.setattr(mv_mod, "read_partition_final", spy)
+    monkeypatch.setattr(artifacts_mod, "read_partition_final", spy)
     tick = refresh_mv(table, wal, "by_source")
     assert tick["changed_pids"] == 1
     assert len(calls) == 1
@@ -204,11 +206,9 @@ def test_upsert_mv_prunes_unchanged_partitions(ray_session, tmp_path, monkeypatc
 
 
 def test_upsert_mv_distributed_path_identical(ray_session, tmp_path, monkeypatch):
-    import clickhouse_data_pipeline_ray.pipelines.mv as mv_mod
-
     table, wal = _up_make(tmp_path, n_events=1_000, per_seg=1_000)
     replay(table, wal, ApplyConfig(), final_compact=False)
-    monkeypatch.setattr(mv_mod, "SMALL_TICK_EVENTS", 0)  # force the Ray path
+    force_ray_venue(monkeypatch)
     tick = refresh_mv(table, wal, "by_source")
     assert tick["changed_pids"] >= 1
     from clickhouse_data_pipeline_ray.state.manifest import load_manifest
@@ -252,12 +252,13 @@ def test_upsert_mv_orphan_partials_invisible_and_gcd(ray_session, tmp_path):
     assert apply_once(table, wal, ApplyConfig(max_segments=1)) is not None
     refresh_mv(table, wal, "by_source")
     before = _up_mv_df(table).values.tolist()
-    d = os.path.join(table, "mv", "by_source")
-    orphan = os.path.join(d, "partial-p99999-e000000000099.parquet")
+    d = os.path.join(table, "mv", "by_source", "partials", "pid=99999")
+    os.makedirs(d)
+    orphan = os.path.join(d, "part.parquet")
     import pyarrow.parquet as pq
 
     pq.write_table(read_mv(table, "by_source"), orphan)
-    # a crashed tick's stray partial is invisible (spec lists the live set)
+    # a crashed tick's stray partial is invisible (meta lists the live pids)
     assert _up_mv_df(table).values.tolist() == before
     # ... and the next committing tick garbage-collects it
     replay(table, wal, ApplyConfig(), final_compact=False)

@@ -64,7 +64,7 @@ def test_pid_postings_equals_naive_counter(docs):
             "tokens": pa.array(docs, pa.list_(pa.int32())),
         }
     )
-    out = _pid_postings(t, pid=3, num_buckets=8, tokens_col="tokens")
+    out = _pid_postings(t, num_buckets=8, tokens_col="tokens")
     body = out.filter(pa.compute.not_equal(out.column("bucket"), STATS_BUCKET))
     got = {
         (r["doc_id"], r["term"]): (r["tf"], r["dl"])

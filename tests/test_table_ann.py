@@ -24,6 +24,8 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
 )
 from clickhouse_data_pipeline_ray.sources.wal import segment_path
 
+from .helpers import force_ray_venue
+
 DIM = 16
 EMB_SCHEMA = pa.schema(
     [
@@ -135,6 +137,15 @@ def test_refresh_rederives_only_changed_partitions(emb_table, tmp_path):
     assert meta2["refreshed_pids"] == []
 
 
+
+def test_refresh_rederives_only_changed_partitions_ray_venue(
+    emb_table, tmp_path, monkeypatch
+):
+    """The same refresh with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    test_refresh_rederives_only_changed_partitions(emb_table, tmp_path)
+
+
 def test_repartition_forces_full_rebuild(emb_table, tmp_path):
     from clickhouse_data_pipeline_ray.pipelines.apply import repartition_table
 
@@ -147,6 +158,13 @@ def test_repartition_forces_full_rebuild(emb_table, tmp_path):
     q = base[:2]
     got = ann_table_index_topk(idx, q, ["a", "b"], k=5, nprobe=4)
     assert got.values.tolist() == _exact(table, q, ["a", "b"], k=5).values.tolist()
+
+
+
+def test_repartition_forces_full_rebuild_ray_venue(emb_table, tmp_path, monkeypatch):
+    """The same rebuild with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    test_repartition_forces_full_rebuild(emb_table, tmp_path)
 
 
 def test_incompatible_params_force_rebuild(emb_table, tmp_path):
@@ -170,10 +188,12 @@ def test_failed_full_rebuild_leaves_old_index_searchable(emb_table, tmp_path, mo
 
     import ray.data
 
-    def boom(self, *a, **k):
+    def boom(*a, **k):
         raise RuntimeError("injected derive failure")
 
+    # every partial write fails, whichever venue derives it
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", boom)
+    monkeypatch.setattr(pq, "write_table", boom)
     with pytest.raises(RuntimeError, match="injected"):
         # n_centroids change forces the full-rebuild path
         refresh_table_ann_index(table, idx, n_centroids=8)

@@ -34,6 +34,8 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
 )
 from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
 
+from .helpers import force_ray_venue
+
 PARAMS = GenParams(
     total_events=4_000, base_events=1_500, events_per_segment=1_000, seed=43,
     tok_min=4, tok_max=48, mix=(0.3, 0.55, 0.15),
@@ -42,14 +44,19 @@ CFG = ApplyConfig(max_segments=2, salt_factor=1, small_epoch_events=0)
 DIM = 1 << 12
 
 
-@pytest.fixture(scope="module")
-def table(ray_session, tmp_path_factory):
-    wal_dir = str(tmp_path_factory.mktemp("wal"))
+def _build(wal_dir, table_dir):
     generate_wal(wal_dir, PARAMS)
-    table_dir = str(tmp_path_factory.mktemp("tbl") / "t")
     create_table(table_dir, num_partitions=8)
     assert apply_once(table_dir, wal_dir, CFG) is not None  # epoch 1
     return table_dir, wal_dir
+
+
+@pytest.fixture(scope="module")
+def table(ray_session, tmp_path_factory):
+    return _build(
+        str(tmp_path_factory.mktemp("wal")),
+        str(tmp_path_factory.mktemp("tbl") / "t"),
+    )
 
 
 def _retrain_from_snapshot(ray, table_dir):
@@ -140,6 +147,13 @@ def test_incremental_refresh_prunes_and_stays_exact(ray_session, table, tmp_path
     # idempotent: nothing left to refresh, model unchanged
     again = refresh_table_classifier(table_dir, mdir, dim=DIM)
     assert again["refreshed_pids"] == []
+
+
+def test_incremental_refresh_prunes_and_stays_exact_ray_venue(ray_session, tmp_path, monkeypatch):
+    """The same refresh with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    fresh = _build(str(tmp_path / "wal"), str(tmp_path / "t"))
+    test_incremental_refresh_prunes_and_stays_exact(ray_session, fresh, tmp_path)
 
 
 def test_hyperparameter_change_forces_rebuild(ray_session, table, tmp_path):

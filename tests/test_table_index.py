@@ -27,6 +27,8 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
 )
 from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
 
+from .helpers import force_ray_venue
+
 PARAMS = GenParams(
     total_events=4_000, base_events=1_500, events_per_segment=1_000, seed=31,
     tok_min=4, tok_max=48, mix=(0.3, 0.55, 0.15),
@@ -35,14 +37,19 @@ CFG = ApplyConfig(max_segments=2, salt_factor=1, small_epoch_events=0)
 K1, B = 1.2, 0.75
 
 
-@pytest.fixture(scope="module")
-def table(ray_session, tmp_path_factory):
-    wal_dir = str(tmp_path_factory.mktemp("wal"))
+def _build(wal_dir, table_dir):
     generate_wal(wal_dir, PARAMS)
-    table_dir = str(tmp_path_factory.mktemp("tbl") / "t")
     create_table(table_dir, num_partitions=8)
     assert apply_once(table_dir, wal_dir, CFG) is not None  # epoch 1
     return table_dir, wal_dir
+
+
+@pytest.fixture(scope="module")
+def table(ray_session, tmp_path_factory):
+    return _build(
+        str(tmp_path_factory.mktemp("wal")),
+        str(tmp_path_factory.mktemp("tbl") / "t"),
+    )
 
 
 def _snapshot_parquet(table_dir, path):
@@ -102,14 +109,11 @@ def test_refresh_prunes_unchanged_partitions(ray_session, table, tmp_path):
 
     # record on-disk state of every postings file before the refresh
     def files_state(root):
-        out = {}
-        for bd in os.listdir(root):
-            for pd_ in os.listdir(os.path.join(root, bd)):
-                d = os.path.join(root, bd, pd_)
-                for f in os.listdir(d):
-                    p = os.path.join(d, f)
-                    out[p] = os.stat(p).st_mtime_ns
-        return out
+        return {
+            os.path.join(d, f): os.stat(os.path.join(d, f)).st_mtime_ns
+            for d, _, names in os.walk(root)
+            for f in names
+        }
 
     before = files_state(os.path.join(idx, "postings"))
 
@@ -151,6 +155,13 @@ def test_refresh_prunes_unchanged_partitions(ray_session, table, tmp_path):
     np.testing.assert_allclose(got["score"], want["score"], rtol=1e-9)
 
 
+def test_refresh_prunes_unchanged_partitions_ray_venue(ray_session, tmp_path, monkeypatch):
+    """The same refresh with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    fresh = _build(str(tmp_path / "wal"), str(tmp_path / "t"))
+    test_refresh_prunes_unchanged_partitions(ray_session, fresh, tmp_path)
+
+
 def test_noop_refresh_touches_nothing(ray_session, table, tmp_path):
     table_dir, _ = table
     idx = str(tmp_path / "idx")
@@ -182,11 +193,7 @@ def test_repartition_forces_full_rebuild_no_stale_postings(ray_session, tmp_path
     res = refresh_table_token_index(table_dir, idx, num_buckets=8)
     assert set(res["refreshed_pids"]) == {"0", "1", "2", "3"}
     post = os.path.join(idx, "postings")
-    stale = [
-        pd_ for bd in os.listdir(post)
-        for pd_ in os.listdir(os.path.join(post, bd))
-        if int(pd_.split("=", 1)[-1]) >= 4
-    ]
+    stale = [pd_ for pd_ in os.listdir(post) if int(pd_.split("=", 1)[-1]) >= 4]
     assert stale == []
     qtoks = _some_query_tokens(table_dir)
     got = bm25_table_index_topk(idx, qtoks, k=10).to_pandas()
@@ -274,3 +281,10 @@ def test_deleted_docs_leave_the_index(ray_session, tmp_path):
     got = bm25_table_index_topk(idx, qtoks, k=50).to_pandas()
     assert len(got) > 0
     assert set(got["doc_id"]).issubset(live)
+
+
+
+def test_deleted_docs_leave_the_index_ray_venue(ray_session, tmp_path, monkeypatch):
+    """The same refreshes with every per-pid derive in the Ray Data venue."""
+    force_ray_venue(monkeypatch)
+    test_deleted_docs_leave_the_index(ray_session, tmp_path)
