@@ -185,12 +185,10 @@ def token_budget_sample(
             }
         )
 
-    cells = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["source", "bucket"], as_index=False)["sum_tok"]
-        .sum()
-    )
+    cells = ds.map_batches(hist, batch_format="pyarrow").to_pandas()
+    if "source" not in cells:  # no budgeted source occurs: all-empty, schema-less
+        cells = pd.DataFrame({"source": [], "bucket": [], "sum_tok": []})
+    cells = cells.groupby(["source", "bucket"], as_index=False)["sum_tok"].sum()
 
     # driver: locate each source's boundary bucket (< n_buckets cumulative
     # cells per source — O(sources × n_buckets) total)

@@ -36,6 +36,12 @@ Scale design (100 TB corpus, small query):
 Determinism: results are block-partitioning-invariant (tf/df/avgdl are
 global sums; ties break by doc_id ascending) — pinned by the block-count
 invariance test.
+
+The persisted text index (``build_text_index`` / ``bm25_index_topk``) is a
+layout of the shared bucket store (``state/buckets.py``): postings are
+bucketed by term hash, and a rebuild removes the meta before it swaps the
+postings in and writes the meta last, so an index whose rebuild died
+raises on read instead of answering under a stale meta.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from ..state.artifacts import load_meta
+from ..state.buckets import bucket_files, swap_in
+from ..state.manifest import atomic_json_write
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -300,10 +310,11 @@ def build_text_index(
     counts), and it is genuinely the ONLY corpus pass: each block also emits
     one stats sentinel row (bucket=STATS_BUCKET) carrying (n_docs, sum_len),
     which the driver sums into meta after the write — no second scan.
-    IDEMPOTENT via the tmp-write + atomic-swap protocol the table sink and
-    the IVF index use — a rebuild after a partial failure can never leave
-    stale or duplicate postings files for ``bm25_index_topk`` to read."""
-    import json
+    A rebuild follows the whole-store order of ``state/buckets.py``: the
+    new postings are staged while the old index answers, then the meta is
+    removed, the postings swapped in and the new meta written — a rebuild
+    that dies after the staging leaves an index that raises on read, never
+    postings that ``bm25_index_topk`` reads under a stale meta."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -343,12 +354,11 @@ def build_text_index(
         return pa.concat_tables([body, stats.cast(body.schema)])
 
     post_dir = os.path.join(index_dir, "postings")
-    tmp_dir = post_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    ds.map_batches(postings, batch_format="pyarrow").write_parquet(
-        tmp_dir, partition_cols=["bucket"]
+    swap_in(
+        ds.map_batches(postings, batch_format="pyarrow"), post_dir, "bucket",
+        drop_meta=index_dir,
     )
-    stats_dir = os.path.join(tmp_dir, f"bucket={STATS_BUCKET}")
+    stats_dir = os.path.join(post_dir, f"bucket={STATS_BUCKET}")
     n_docs, sum_len, did_type_name = 0, 0, "int64"
     if os.path.isdir(stats_dir):
         srow = pq.read_table(stats_dir)
@@ -356,8 +366,6 @@ def build_text_index(
         sum_len = int(pc.sum(srow.column("dl")).as_py() or 0)
         did_type_name = str(srow.schema.field("doc_id").type)
         shutil.rmtree(stats_dir)  # queries never probe the sentinel bucket
-    shutil.rmtree(post_dir, ignore_errors=True)
-    os.replace(tmp_dir, post_dir)
 
     avgdl = float(sum_len) / n_docs if n_docs else 0.0
     meta = {
@@ -366,11 +374,7 @@ def build_text_index(
         "num_buckets": nb,
         "doc_id_type": did_type_name,
     }
-    with open(os.path.join(index_dir, "meta.json.tmp"), "w") as f:
-        json.dump(meta, f)
-    os.replace(
-        os.path.join(index_dir, "meta.json.tmp"), os.path.join(index_dir, "meta.json")
-    )
+    atomic_json_write(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 
@@ -388,22 +392,14 @@ def bm25_index_topk(
     pinned by the identity test. This is a LATENCY surface: a handful of
     file reads, no Ray job, no corpus scan (the point-lookup convention,
     pipelines/lookup.py)."""
-    import json
-
     import pyarrow.parquet as pq
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    meta = load_meta(index_dir)
     empty = _empty_result(_type_from_name(meta.get("doc_id_type")))
     qarr = _terms_of(query)
     wanted = sorted(set(_term_buckets(qarr, meta["num_buckets"]).tolist()))
-    paths = [
-        os.path.join(d, name)
-        for bk in wanted
-        if os.path.isdir(d := os.path.join(index_dir, "postings", f"bucket={bk}"))
-        for name in sorted(os.listdir(d))
-        if name.endswith(".parquet")
-    ]
+    post_dir = os.path.join(index_dir, "postings")
+    paths = [p for bk in wanted for p in bucket_files(post_dir, "bucket", bk)]
     if not paths:
         return empty
     tbl = pa.concat_tables(
@@ -602,7 +598,7 @@ def bm25_table_index_topk(
     the shared dense kernel. Terms are token ids (int64)."""
     import pyarrow.parquet as pq
 
-    from ..state.artifacts import load_meta, partial_files
+    from ..state.artifacts import partial_files
 
     meta = load_meta(index_dir)
     empty = _empty_result(_type_from_name(meta["doc_id_type"]))

@@ -9,6 +9,12 @@ partials move — the corpus never shuffles.
 Scale path: IVF — centroid assignment per batch (broadcast centroid matrix),
 then the same brute-force search restricted to the query's nprobe nearest
 centroid buckets (a filter, not a shuffle).
+
+The persisted IVF and PQ indexes are layouts of the shared bucket store
+(``state/buckets.py``), bucketed by coarse centroid: a rebuild removes the
+meta before it swaps the layout in and writes the centroids (PQ: the
+``codes/_model``) and the meta last, so an index whose rebuild died raises
+on read instead of probing new buckets with an old model.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from ..state.artifacts import load_meta
+from ..state.buckets import bucket_files, swap_in
+from ..state.manifest import atomic_json_write
 
 
 def _to_matrix(col: pa.ChunkedArray) -> np.ndarray:
@@ -310,15 +320,12 @@ def build_ivf_index(
     files — cost corpus×(nprobe/n_centroids) per query batch, zero full
     scans, and the bucket layout is shared by all future queries.
 
-    IDEMPOTENT: the vector layout is written to a temp directory and swapped
-    into place atomically (the tmp-write commit protocol the table sink
-    uses), so a rebuild after a partial failure — or into a reused
-    index_dir — can never leave stale or duplicate vector files for
-    ``ivf_index_topk`` to read."""
-    import json
-    import os
-    import shutil
-
+    IDEMPOTENT, in the whole-store rebuild order of ``state/buckets.py``:
+    the vector layout is staged while the old index answers, then the meta
+    is removed, the layout swapped in, the centroids and the meta written —
+    a rebuild into a reused index_dir never leaves stale or duplicate
+    vector files, and one that dies part-way leaves an index that raises
+    on read instead of probing new buckets with old centroids."""
     cents = kmeans_centroids(ds, n_centroids=n_centroids, vec_col=vec_col)
     if refine_iters > 0:
         # opt-in distributed Lloyd refinement: the sample-trained centroids
@@ -332,28 +339,16 @@ def build_ivf_index(
         concurrency=concurrency,
         num_cpus=0.5,
     )
-    vec_dir = os.path.join(index_dir, "vectors")
-    tmp_dir = vec_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    bucketed.write_parquet(tmp_dir, partition_cols=["ivf_bucket"])
-    shutil.rmtree(vec_dir, ignore_errors=True)
-    os.replace(tmp_dir, vec_dir)
-    np.save(os.path.join(index_dir, "centroids.npy.tmp.npy"), cents)
-    os.replace(
-        os.path.join(index_dir, "centroids.npy.tmp.npy"),
-        os.path.join(index_dir, "centroids.npy"),
-    )
+    swap_in(bucketed, os.path.join(index_dir, "vectors"), "ivf_bucket",
+            drop_meta=index_dir)
+    np.save(os.path.join(index_dir, "centroids.npy"), cents)
     meta = {
         "n_centroids": int(len(cents)),
         "dim": int(cents.shape[1]),
         "key_col": key_col,
         "vec_col": vec_col,
     }
-    with open(os.path.join(index_dir, "meta.json.tmp"), "w") as f:
-        json.dump(meta, f)
-    os.replace(
-        os.path.join(index_dir, "meta.json.tmp"), os.path.join(index_dir, "meta.json")
-    )
+    atomic_json_write(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 
@@ -376,22 +371,13 @@ def ivf_index_topk(
     pass — a few file reads beat a cluster round-trip (the point-lookup
     convention, pipelines/lookup.py). Larger probe sets take the distributed
     scan."""
-    import json
-    import os
-
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    meta = load_meta(index_dir)
     cents = np.load(os.path.join(index_dir, "centroids.npy"))
     qn = _normalize(np.asarray(queries, dtype=np.float64))
     probe = np.argsort(-(qn @ cents.T), axis=1)[:, :nprobe]
     wanted = sorted({int(b) for row in probe for b in row})
-    paths = [
-        os.path.join(d, name)
-        for b in wanted
-        if os.path.isdir(d := os.path.join(index_dir, "vectors", f"ivf_bucket={b}"))
-        for name in sorted(os.listdir(d))
-        if name.endswith(".parquet")
-    ]
+    vec_dir = os.path.join(index_dir, "vectors")
+    paths = [p for b in wanted for p in bucket_files(vec_dir, "ivf_bucket", b)]
     if not paths:
         return pd.DataFrame({"query_id": [], "rank": [], "neighbor_id": [], "score": []})
     if sum(os.path.getsize(p) for p in paths) <= small_bytes:
@@ -794,12 +780,11 @@ def build_pq_index(
 
     Codes are only meaningful together with the EXACT model that produced
     them (ADC decodes against the codebooks), so the model artifacts live
-    INSIDE the swapped codes directory (``codes/_model/``): one
-    ``os.replace`` commits codes + centroids + codebooks as a unit — a
-    crash mid-rebuild can never pair new codes with old codebooks."""
-    import json
-    import shutil
-
+    INSIDE the codes directory (``codes/_model/``), and a rebuild follows
+    the whole-store order of ``state/buckets.py`` — meta removed, codes
+    swapped in, model and meta written last — so a crash mid-rebuild
+    leaves an index that raises on read, never new codes under old
+    codebooks."""
     # one driver-side sample feeds both the coarse centroids and the PQ
     # residual training (identical leading rows either way)
     sample = ds.limit(sample_rows).to_pandas()
@@ -825,15 +810,11 @@ def build_pq_index(
         num_cpus=0.5,
     )
     code_dir = os.path.join(index_dir, "codes")
-    tmp_dir = code_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    coded.write_parquet(tmp_dir, partition_cols=["ivf_bucket"])
-    model_dir = os.path.join(tmp_dir, "_model")
-    os.makedirs(model_dir, exist_ok=True)
+    swap_in(coded, code_dir, "ivf_bucket", drop_meta=index_dir)
+    model_dir = os.path.join(code_dir, "_model")
+    os.makedirs(model_dir)
     np.save(os.path.join(model_dir, "centroids.npy"), cents)
     np.save(os.path.join(model_dir, "codebooks.npy"), books)
-    shutil.rmtree(code_dir, ignore_errors=True)
-    os.replace(tmp_dir, code_dir)  # codes + model commit atomically
     meta = {
         "n_centroids": int(len(cents)),
         "dim": int(cents.shape[1]),
@@ -843,12 +824,7 @@ def build_pq_index(
         "vec_col": vec_col,
         "bytes_per_vector": int(books.shape[0]),
     }
-    with open(os.path.join(index_dir, "meta.json.tmp"), "w") as f:
-        json.dump(meta, f)
-    os.replace(
-        os.path.join(index_dir, "meta.json.tmp"),
-        os.path.join(index_dir, "meta.json"),
-    )
+    atomic_json_write(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 
@@ -875,16 +851,13 @@ def pq_index_topk(
     the FAISS IVFPQR / DiskANN refinement shape) and exact cosine re-scores
     them. On near-tie corpora this lifts recall@5 from ~0.5 to ~1.0 at
     R=10k's cost of a point lookup; scores become TRUE cosines."""
-    import json
-    import os
-
     import pyarrow.parquet as pq_
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
-    # the model lives inside the atomically-swapped codes dir — codes and
-    # the codebooks that decode them can never be from different builds
-    model_dir = os.path.join(index_dir, "codes", "_model")
+    # meta is written after the codes and their model, so a committed meta
+    # never pairs codes with another build's codebooks
+    meta = load_meta(index_dir)
+    code_dir = os.path.join(index_dir, "codes")
+    model_dir = os.path.join(code_dir, "_model")
     cents = np.load(os.path.join(model_dir, "centroids.npy"))
     books = np.load(os.path.join(model_dir, "codebooks.npy"))
     m = books.shape[0]
@@ -894,14 +867,13 @@ def pq_index_topk(
 
     def load_bucket(b: int):
         if b not in bucket_cache:
-            d = os.path.join(index_dir, "codes", f"ivf_bucket={b}")
-            if not os.path.isdir(d):
+            files = bucket_files(code_dir, "ivf_bucket", b)
+            if not files:
                 bucket_cache[b] = (np.array([], object), np.empty((0, m), np.uint8))
             else:
                 t = pa.concat_tables(
-                    pq_.read_table(os.path.join(d, f),
-                                   columns=[meta["key_col"], "codes"])
-                    for f in sorted(os.listdir(d)) if f.endswith(".parquet")
+                    pq_.read_table(f, columns=[meta["key_col"], "codes"])
+                    for f in files
                 )
                 bucket_cache[b] = (
                     t.column(meta["key_col"]).to_numpy(zero_copy_only=False),
@@ -1065,7 +1037,7 @@ def ann_table_index_topk(
     probed buckets (raw vectors, no quantization)."""
     import pyarrow.parquet as pq_
 
-    from ..state.artifacts import load_meta, partial_files
+    from ..state.artifacts import partial_files
 
     meta = load_meta(index_dir)
     cents = np.load(os.path.join(index_dir, "vectors", "_model", "centroids.npy"))

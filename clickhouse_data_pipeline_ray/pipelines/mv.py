@@ -63,7 +63,7 @@ import pyarrow.parquet as pq
 from ..sources.wal import pending_segments
 from ..stages.merge import merge_needed_columns, read_partition_final
 from ..state.artifacts import load_meta, partial_files, refresh_table_partials
-from ..state.manifest import load_manifest
+from ..state.manifest import atomic_json_write, load_manifest
 from ..state.registry import file_lock
 
 MV_DIR = "mv"
@@ -76,12 +76,6 @@ SMALL_TICK_EVENTS = 500_000
 
 def _mv_dir(table_dir: str, name: str) -> str:
     return os.path.join(table_dir, MV_DIR, name)
-
-
-def _atomic_json(path: str, doc: dict) -> None:
-    from ..state.manifest import atomic_json_write
-
-    atomic_json_write(path, doc)
 
 
 def register_mv(
@@ -221,7 +215,7 @@ def register_mv(
             )
         return existing
     os.makedirs(d, exist_ok=True)
-    _atomic_json(spec_path, spec)
+    atomic_json_write(spec_path, spec)
     return spec
 
 
@@ -709,7 +703,7 @@ def _refresh_mv_locked(table_dir: str, wal_dir: str, name: str) -> dict | None:
     spec.update(
         {"watermark_lsn": hi, "state_file": state_name, "updated_at": time.time()}
     )
-    _atomic_json(os.path.join(d, SPEC_NAME), spec)
+    atomic_json_write(os.path.join(d, SPEC_NAME), spec)
     if old_state and old_state != state_name:
         try:
             os.remove(os.path.join(d, old_state))

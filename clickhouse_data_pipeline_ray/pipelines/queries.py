@@ -2024,8 +2024,8 @@ def q_ann_topk_embeddings(sf_dir: str) -> pd.DataFrame:
 
 
 def _ivf_index_dir(sf_dir: str) -> str:
-    """Cached persisted IVF index for this scale factor (built once,
-    tmp+rename idempotent — see functions/similarity.build_ivf_index)."""
+    """Cached persisted IVF index for this scale factor (built once; a
+    rebuild is idempotent — see functions/similarity.build_ivf_index)."""
     tag = os.path.basename(os.path.normpath(sf_dir)) or "sfX"
     index_dir = os.path.join(tempfile.gettempdir(), "cdp_ray_ivf", tag)
     marker = os.path.join(index_dir, "_DONE")

@@ -302,3 +302,24 @@ def test_span_dedup_empty_corpus(ray_session, tmp_path, capsys):
     assert rc == 0
     assert (doc["docs"], doc["docs_touched"], doc["words_removed"]) == (0, 0, 0)
     assert pq.read_table(str(tmp_path / "clean")).num_rows == 0
+
+
+@pytest.mark.parametrize("index_cmd,dedup_cmd,data", [
+    ("index-fingerprints", "dedup-incremental", "documents"),
+    ("index-embeddings", "dedup-embdup", "embeddings"),
+])
+def test_update_part_with_zero_survivors(
+    index_cmd, dedup_cmd, data, ray_session, tmp_path, capsys
+):
+    """Deduplicating the input a ledger was built from leaves zero
+    survivors; ``--update-part`` then commits an empty part and the command
+    prints its summary and exits 0."""
+    src = f"{cli.SF_DIR[1]['default']}/{data}.parquet"
+    idx = tmp_path / "ledger"
+    rc, _ = _run(capsys, index_cmd, "--input", src, "--output", idx)
+    assert rc == 0
+    rc, [doc] = _run(capsys, dedup_cmd, "--input", src, "--index", idx,
+                     "--update-part", "p2")
+    assert rc == 0 and doc["survivors"] == 0 and doc["update_part"] == "p2"
+    with open(idx / "meta.json") as f:
+        assert json.load(f)["parts"] == ["base", "p2"]

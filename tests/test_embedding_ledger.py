@@ -143,3 +143,29 @@ def test_empty_increment(ray_session, tmp_path):
     )
     surv, hits = incremental_embdup_dedup(empty, idx, threshold=0.9)
     assert hits.empty and surv.count() == 0
+
+
+def test_extend_with_zero_survivors(ray_session, tmp_path):
+    """Every incoming vector already in the ledger: zero survivors extend
+    it with an empty part, and the ledger probes exactly as before."""
+    idx, _ = _ledger(tmp_path, num_buckets=8, n_planes=6)
+    fresh = np.random.default_rng(3).standard_normal(DIM).tolist()
+
+    def probe():
+        surv, hits = incremental_embdup_dedup(
+            _vecs({50: BASE[10], 51: fresh, 52: BASE[14]}), idx, threshold=0.95
+        )
+        return sorted(surv.to_pandas()["vec_id"]), hits
+
+    surv_before, hits_before = probe()
+    surv, hits = incremental_embdup_dedup(
+        _vecs({60: BASE[11], 61: BASE[12]}), idx, threshold=0.95
+    )
+    assert surv.count() == 0 and len(hits) == 2
+    meta = build_embedding_index(
+        surv.select_columns(["vec_id", "embedding"]), idx, part="p2"
+    )
+    assert meta["parts"] == ["base", "p2"]
+    surv_after, hits_after = probe()
+    assert surv_after == surv_before == [51]
+    assert hits_after.equals(hits_before) and hits_after.attrs == hits_before.attrs

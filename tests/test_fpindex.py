@@ -170,3 +170,24 @@ def test_num_buckets_pinned_by_first_build(ray_session, tmp_path):
     assert read_fingerprint_meta(idx)["num_buckets"] == 8
     got = incremental_dedup(_docs([60], ["hotel"]), idx).to_pandas()
     assert got.empty  # found in the ledger despite the bogus argument
+
+
+def test_extend_with_zero_survivors(ray_session, tmp_path):
+    """An increment the ledger already holds leaves zero survivors;
+    extending the ledger with them commits an empty part, and the ledger
+    probes exactly as before."""
+    idx, _ = _base(tmp_path)
+
+    def probe() -> pd.DataFrame:
+        inc = _docs([30, 31, 32], ["alpha", "golf", "charlie"])
+        return incremental_dedup(inc, idx).to_pandas().sort_values("doc_id")
+
+    before = probe()
+    surv = incremental_dedup(_docs([20, 21], ["bravo", "delta"]), idx)
+    assert surv.count() == 0
+    meta = build_fingerprint_index(
+        surv.select_columns(["doc_id", "text"]), idx, part="p2"
+    )
+    assert meta["parts"] == ["base", "p2"] == read_fingerprint_meta(idx)["parts"]
+    assert sorted(os.listdir(os.path.join(idx, "parts"))) == ["base", "p2"]
+    pd.testing.assert_frame_equal(probe(), before)

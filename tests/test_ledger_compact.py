@@ -124,3 +124,19 @@ def test_legacy_meta_listdir_fallback(ray_session, tmp_path):
     assert got.empty  # epoch-1's "charlie" still found via listdir
     out = compact_ledger(idx)
     assert out["compacted"] and read_ledger_meta(idx)["parts"] == ["compacted"]
+
+
+def test_compact_ledger_of_empty_parts(ray_session, tmp_path):
+    """Parts built from empty inputs are empty layouts; compacting a
+    ledger of them commits one empty part that still probes."""
+    idx = str(tmp_path / "fp")
+    empty = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+    build_fingerprint_index(empty, idx, part="base", num_buckets=4)
+    build_fingerprint_index(empty, idx, part="epoch-1")
+    out = compact_ledger(idx)
+    assert out["compacted"] and out["parts_before"] == 2
+    assert read_ledger_meta(idx)["parts"] == ["compacted"]
+    assert os.listdir(os.path.join(idx, "parts")) == ["compacted"]
+    assert incremental_dedup(_docs([5], ["delta"]), idx).count() == 1

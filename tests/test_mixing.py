@@ -224,3 +224,14 @@ def test_source_token_totals_and_end_to_end(ray_session):
     got = out.groupby("source")["n_chars"].sum().to_dict()
     for s, b in budgets.items():
         assert got.get(s, 0) <= b  # never exceeds its derived budget
+
+
+def test_budget_sample_source_absent_from_corpus(ray_session):
+    """A budget for a source the corpus never names keeps every unlisted
+    source whole (the oracle's rule); an empty corpus samples nothing."""
+    budgets = {"web": 5000}
+    ds = _read(ray_session)
+    got = token_budget_sample(ds, budgets, tok_col="n_chars").to_pandas()
+    assert set(got["doc_id"]) == _oracle(budgets)
+    empty = token_budget_sample(ds.limit(0), {"src0": 5000}, tok_col="n_chars")
+    assert empty.count() == 0

@@ -156,6 +156,42 @@ def test_index_rebuild_idempotent(ray_session, text_index):
     assert before.column("score").to_pylist() == after.column("score").to_pylist()
 
 
+def test_index_rebuild_crash_refuses_to_answer(ray_session, tmp_path, monkeypatch):
+    """A rebuild (16 → 4 buckets) that dies at its meta write leaves an
+    index that raises on read, not the old meta over the new postings
+    (which answered most queries with an empty top-k); a clean rebuild
+    restores the answers."""
+    import json
+    import os
+
+    from clickhouse_data_pipeline_ray.functions.retrieval import (
+        bm25_index_topk,
+        build_text_index,
+    )
+
+    idx = str(tmp_path / "bm25idx")
+    build_text_index(_read_docs(ray_session), idx, num_buckets=16)
+    queries = ["merge", "customer", "join", "window", "stream", "filter", "sort"]
+    want = [bm25_index_topk(idx, q, k=5).to_pylist() for q in queries]
+    assert all(want)
+    real_dump = json.dump
+
+    def dump(obj, fp, *a, **kw):
+        if os.path.basename(getattr(fp, "name", "")).startswith("meta.json"):
+            raise OSError("injected meta write failure")
+        return real_dump(obj, fp, *a, **kw)
+
+    monkeypatch.setattr(json, "dump", dump)
+    with pytest.raises(OSError, match="injected"):
+        build_text_index(_read_docs(ray_session), idx, num_buckets=4)
+    monkeypatch.undo()
+    for q in queries:
+        with pytest.raises(FileNotFoundError):
+            bm25_index_topk(idx, q, k=5)
+    build_text_index(_read_docs(ray_session), idx, num_buckets=16)
+    assert [bm25_index_topk(idx, q, k=5).to_pylist() for q in queries] == want
+
+
 def test_index_unknown_term_empty(text_index):
     from clickhouse_data_pipeline_ray.functions.retrieval import bm25_index_topk
 

@@ -266,6 +266,43 @@ def test_ivf_rebuild_is_idempotent(ray_session, tmp_path):
     assert not r2.duplicated(subset=["query_id", "neighbor_id"]).any()
 
 
+def test_ivf_rebuild_crash_refuses_to_answer(ray_session, tmp_path, monkeypatch):
+    """A rebuild (16 → 8 centroids) that dies right after its vectors swap
+    leaves an index that raises on read, not one that probes the new
+    buckets with the old centroids; a clean rebuild restores the answers."""
+    import pandas as pd
+
+    from clickhouse_data_pipeline_ray.functions.similarity import (
+        build_ivf_index,
+        ivf_index_topk,
+    )
+
+    emb = np.random.default_rng(31).standard_normal((300, 16))
+    ds = ray.data.from_items(
+        [{"vec_id": i, "embedding": emb[i].tolist()} for i in range(300)]
+    )
+    idx = str(tmp_path / "ivf")
+    build_ivf_index(ds, idx, n_centroids=16)
+    want = ivf_index_topk(idx, emb[:5], list(range(5)), k=5, nprobe=4)
+    real_save = np.save
+
+    def save(file, arr, *a, **kw):
+        if "centroids" in str(file):
+            raise OSError("injected failure after the vectors swap")
+        return real_save(file, arr, *a, **kw)
+
+    monkeypatch.setattr(np, "save", save)
+    with pytest.raises(OSError, match="injected"):
+        build_ivf_index(ds, idx, n_centroids=8)
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError):
+        ivf_index_topk(idx, emb[:5], list(range(5)), k=5, nprobe=4)
+    build_ivf_index(ds, idx, n_centroids=16)
+    pd.testing.assert_frame_equal(
+        ivf_index_topk(idx, emb[:5], list(range(5)), k=5, nprobe=4), want
+    )
+
+
 def test_codec_auto_probe_selects_numpy_here():
     """decoder='auto' must resolve to the pure-numpy tier in this container
     (no PIL/ffmpeg/torchaudio — real-library tier unavailable, numpy tier
