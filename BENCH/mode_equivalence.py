@@ -29,7 +29,7 @@ import tempfile
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-NOISE = {"wall_s", "events_per_s", "stage_stats"}
+NOISE = {"wall_s", "events_per_s", "phases_s"}
 
 
 def _scenarios(work: str):

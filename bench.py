@@ -13,7 +13,8 @@ total, volatile 32-cpu leg first) — and reports both
 throughputs + scaling efficiency = T(8)/T(32)/4. The sandbox host exposes a
 single physical CPU, so num_cpus oversubscribes; results are still a valid
 relative-parallelism probe of the pipeline's scheduling behavior (see
-BENCH/BASELINE.md for the caveat and aggregate-task-time view).
+BENCH/BASELINE.md for the caveat); each leg also reports where its apply
+time went, from the engine's per-epoch phase timers.
 """
 
 from __future__ import annotations
@@ -30,25 +31,8 @@ BENCH_EVENTS = int(os.environ.get("BENCH_EVENTS", "1000000"))
 CACHE_ROOT = os.environ.get("BENCH_CACHE", "/tmp/cdp_ray_bench")
 
 
-def _parse_task_seconds(stats_str: str) -> float:
-    """Sum the per-operator 'Remote wall time: ... total' figures from a Ray
-    Data ds.stats() string — total task-seconds executed across the cluster
-    for that execution."""
-    import re
-
-    mult = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0, "min": 60.0}
-    total = 0.0
-    for m in re.finditer(
-        r"Remote wall time: [^\n]*?([0-9.]+)(us|ms|s|min|m)\s+total", stats_str
-    ):
-        total += float(m.group(1)) * mult[m.group(2)]
-    return total
-
-
 def _headline_params():
-    """ONE definition of the headline workload + its cache tag — bench_cdc
-    and run_stats must profile the SAME WAL or --stats silently breaks down
-    a different workload than the headline it claims to explain."""
+    """ONE definition of the headline workload + its cache tag."""
     from clickhouse_data_pipeline_ray.sources.gen import GenParams
 
     tok_min = int(os.environ.get("BENCH_TOK_MIN", "256"))
@@ -94,18 +78,13 @@ def bench_cdc(ray) -> dict:
                 while f.read(1 << 22):
                     pass
 
-    # one bounded apply epoch + final compaction checkpoint; fixed-size merge
-    # pool at half the CPUs (actors hold their CPU; upstream needs the rest).
+    # one bounded apply epoch + final compaction checkpoint; a merge pool of
+    # one actor per two CPUs.
     # Best-of-N fresh replays (BENCH_REPEATS, default 3): this host's
     # effective capacity swings 2-3x between windows, so a single shot
     # measures the neighbors, not the engine.
-    # stage_stats: capture per-stage breakdowns so aggregate TASK seconds can
-    # be reported alongside wall-clock (the contention-insensitive scaling
-    # view — equal task-seconds at both parallelism levels means the job does
-    # the same work and any wall gap is scheduling/host, not the engine)
     cfg = ApplyConfig(max_segments=None, salt_factor=8, hot_ratio=4.0,
-                      merge_concurrency=max(2, NUM_CPUS // 2),
-                      stage_stats=True)
+                      merge_concurrency=max(2, NUM_CPUS // 2))
     # default 3: the first replay pays one-time worker warmup, and host
     # capacity arrives in waves — two warm draws sample windows much better
     # than one at ~30 s extra cost.
@@ -130,11 +109,11 @@ def bench_cdc(ray) -> dict:
     wall, epochs, table_dir = best
     apply_s = sum(e["wall_s"] for e in epochs if not e.get("compaction"))
     compact_s = sum(e["wall_s"] for e in epochs if e.get("compaction"))
-    # compaction stats rows carry no stage_stats -> counted as 0 here; the
-    # lo/hi inflation comparison is unaffected (both legs undercount alike)
-    agg_task_s = sum(
-        _parse_task_seconds(e.get("stage_stats") or "") for e in epochs
-    )
+    # the engine's own per-epoch phase timers, summed over the apply epochs
+    phases_s = {}
+    for e in epochs:
+        for k, v in (e.get("phases_s") or {}).items():
+            phases_s[k] = round(phases_s.get(k, 0.0) + v, 3)
     man = load_manifest(table_dir)
     # the replayed table (≈ GBs) is scratch: repeated bench/scaling runs must
     # not accumulate table dirs until the disk fills (observed)
@@ -154,7 +133,7 @@ def bench_cdc(ray) -> dict:
         "epochs": len(epochs),
         "final_rows": man.total_rows(),
         "gen_s": round(gen_s, 3),
-        "agg_task_s": round(agg_task_s, 1),
+        "phases_s": phases_s,
     }
 
 
@@ -477,16 +456,9 @@ def run_scaling() -> dict:
         "mb_per_s_lo": lo["extra"].get("mb_per_s"),
         "mb_per_s_hi": hi["extra"].get("mb_per_s"),
         "scaling_efficiency": round(eff, 3),
-        # aggregate task-seconds per leg: equal values mean the 4x-parallel
-        # job does the same total work (wall gap = scheduling/host, not the
-        # engine); the ratio is the work-inflation view of scaling
-        "agg_task_s_lo": lo["extra"].get("agg_task_s"),
-        "agg_task_s_hi": hi["extra"].get("agg_task_s"),
-        "work_inflation_hi_vs_lo": (
-            round(hi["extra"]["agg_task_s"] / lo["extra"]["agg_task_s"], 3)
-            if lo["extra"].get("agg_task_s") and hi["extra"].get("agg_task_s")
-            else None
-        ),
+        # where each leg's apply time went (read_normalize / merge / commit)
+        "phases_s_lo": lo["extra"].get("phases_s"),
+        "phases_s_hi": hi["extra"].get("phases_s"),
         "events": lo["extra"]["events"],
         "policy": (
             "best-of-2 fresh processes per leg x best-of-"
@@ -597,52 +569,6 @@ def run_soak() -> dict:
         ray.shutdown()
 
 
-def run_stats() -> dict:
-    """One headline replay with `ApplyConfig(stage_stats=True)`: prints Ray
-    Data's per-stage execution breakdown (ds.stats()) for the apply epoch —
-    the per-stage view the measurement protocol in BASELINE.md promises.
-    Human-readable (multi-line), not the one-line JSON contract."""
-    import shutil
-    import tempfile
-
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-    from clickhouse_data_pipeline_ray.pipelines.apply import (
-        ApplyConfig,
-        create_table,
-        replay,
-    )
-    from clickhouse_data_pipeline_ray.sources.gen import ensure_wal
-
-    params, tag = _headline_params()
-    wal_dir = ensure_wal(CACHE_ROOT, params, tag, parallel=True)
-    cfg = ApplyConfig(
-        merge_concurrency=max(2, NUM_CPUS // 2), stage_stats=True
-    )
-    table_dir = tempfile.mkdtemp(prefix="cdp_bench_table_", dir=CACHE_ROOT)
-    try:
-        create_table(table_dir, num_partitions=64)
-        epochs = replay(table_dir, wal_dir, cfg, final_compact=False)
-        for e in epochs:
-            print(f"=== epoch {e['epoch']}: {e['wall_s']} s, "
-                  f"{e['events_per_s']} events/s ===")
-            print(e.get("stage_stats") or "(driver-side micro-epoch: no Dataset execution)")
-        return {"metric": "cdc_replay_stage_stats", "epochs": len(epochs)}
-    finally:
-        shutil.rmtree(table_dir, ignore_errors=True)
-        ray.shutdown()
-
-
 def run_latency() -> dict:
     import ray
 
@@ -668,8 +594,6 @@ if __name__ == "__main__":
         print(json.dumps(run_scaling()))
     elif "--latency" in sys.argv:
         print(json.dumps(run_latency()))
-    elif "--stats" in sys.argv:
-        print(json.dumps(run_stats()))
     elif "--soak" in sys.argv:
         print(json.dumps(run_soak()))
     else:

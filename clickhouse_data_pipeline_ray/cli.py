@@ -1756,15 +1756,16 @@ COMMANDS = (
         ), _curate, ray=True),
     Cmd("index-text",
         "build a persisted BM25 inverted index (term-hash-bucketed "
-        "postings + corpus stats; idempotent tmp+rename build)", (
+        "postings + corpus stats; a build stages the layout, swaps it in "
+        "and writes the meta last)", (
             SF_DIR,
             _a("--output", required=True),
             NUM_BUCKETS,
         ), _index_text, ray=True),
     Cmd("index-pq",
         "build a persisted IVFADC index (coarse centroids + residual "
-        "product-quantization codes, m bytes/vector; idempotent "
-        "tmp+rename build)", (
+        "product-quantization codes, m bytes/vector; a build stages the "
+        "codes, swaps them in and writes the meta last)", (
             SF_DIR,
             _a("--output", required=True),
             N_CENTROIDS,
@@ -1810,7 +1811,8 @@ COMMANDS = (
         ), _search_ann),
     Cmd("index-fingerprints",
         "build or extend the exact-dedup fingerprint ledger over a "
-        "parquet input (one atomically-swapped part per build)", (
+        "parquet input (each build stages one part and swaps it in "
+        "before the meta)", (
             _a("--input", required=True,
                help="parquet file or directory with (doc_id, text)"),
             LEDGER_OUTPUT,
@@ -1829,8 +1831,9 @@ COMMANDS = (
                 ["doc_id", "text"]), ray=True, writes_parts=True),
     Cmd("index-minhash",
         "build or extend the MinHash near-dup ledger over a parquet "
-        "input (map-only signature pass, one atomically-swapped part "
-        "per build; LSH params pinned by the first build)", (
+        "input (map-only signature pass; each build stages one part and "
+        "swaps it in before the meta; LSH params pinned by the first "
+        "build)", (
             _a("--input", required=True,
                help="parquet file or directory with (doc_id, text)"),
             LEDGER_OUTPUT,

@@ -1,4 +1,4 @@
-"""Epoch driver: compose the stages into one Ray Data job and commit.
+"""Epoch driver: compose the stages into one epoch and commit.
 
 The analog of the reference's sync cycle (`ETLPipeline.run_sync_cycle`,
 /root/reference/etl/core/pipeline.py:332-365: extract → transform → load with
@@ -8,17 +8,24 @@ resumable micro-batch loop:
 
     pending segments (> manifest watermark, name-pruned)
       → read_parquet (grouped by schema; union)             [streamed blocks]
-      → map_batches(normalize + pid/salt + LWW pre-compact) [stateless tasks]
-      → (hot pids only) groupby(pid, salt).map_groups(compact)   [salted L1]
-      → groupby(pid).map_groups(MergeApply actor pool)      [stateful merge]
+      → map_batches(normalize + pid/salt + per-batch reduce
+                    + route: dest column, batch sorted by it) [stateless tasks]
+      → materialize(); the driver takes the block refs
+      → merge actor pool (session-long, n actors):
+          hot (pid, salt) dests: reduce_changes             [salted L1]
+          own dest + hot partials: split by pid, MergeApply [stateful merge]
       → driver: fsync part dirs + put-if-absent manifest    [exactly-once]
 
-The per-epoch change volume is bounded by ``max_segments``. Each epoch is ONE
-streaming Dataset execution (read → normalize → shuffle → merge): hot-partition
-detection uses the previous epoch's per-pid applied counts from the manifest
-(skew is sticky in CDC streams), so no extra counting pass and no
-materialization of the change set. Driver never holds row data — only O(P)
-stats rows from the merge stage.
+The per-epoch change volume is bounded by ``max_segments``, so one epoch's
+routed change set is materialized in the object store. Routing happens in
+the normalize map: a cold pid goes to actor ``pid % n``; a hot pid's rows
+fan out over ``salt_factor`` extra dests whose reduced partials feed that
+pid's merge. Each actor slices its dest out of every block (zero-copy runs of the sorted dest column) and runs the same
+split-and-apply kernel (:func:`merge_by_pid`) as the driver-side micro-epoch
+path. Hot-partition detection uses the previous epoch's per-pid applied
+counts from the manifest (skew is sticky in CDC streams), so there is no
+extra counting pass. The driver never holds row data — only O(P) stats rows
+from the merge actors.
 
 Each epoch appends O(changes) per-partition delta files and folds a
 partition's chain into one snapshot when it reaches ``compact_threshold`` —
@@ -34,10 +41,12 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from ..schemas import (
@@ -76,13 +85,11 @@ class ApplyConfig:
     max_segments: int | None = None       # per-epoch segment cap (backpressure)
     salt_factor: int = 8                  # sub-keys per hot partition
     hot_ratio: float = 4.0                # pid is "hot" if its rows > ratio × mean
-    # Prefer a FIXED-size pool (int ≈ cluster CPUs / 2) when the cluster size
-    # is known: an autoscaling (min, max) range ramps up too slowly for
-    # epoch-sized bursts, so most of the work lands on the first few actors
-    # (measured 1.5× slower). The (1, 8) default is the safe choice for
-    # unknown/tiny clusters — actors permanently hold their CPU, and a pool
-    # that fills the cluster starves upstream read/normalize tasks (observed
-    # livelock at num_cpus=2 with min=2).
+    # Size of the session-long merge actor pool (see _merge_pool): an int is
+    # used as given; a (lo, hi) range is clamped around the session's CPU
+    # count. The actors reserve no CPU — they only run after the epoch's
+    # read+normalize map has materialized, so they never compete with its
+    # tasks, and an idle pool leaves every CPU to other Ray work.
     merge_concurrency: int | tuple = (1, 8)
     # a partition's file chain folds into one snapshot when it would reach
     # this many files (see MergeApply); 1 = MERGE-on-write every epoch
@@ -99,11 +106,6 @@ class ApplyConfig:
     # steady-state CDC tail case. Large epochs take the distributed path.
     # 0 disables the fast path.
     small_epoch_events: int = 20_000
-    # Attach Ray Data's per-stage execution breakdown (ds.stats()) to the
-    # RETURNED epoch stats (never persisted to the manifest history — it's a
-    # multi-KB diagnostic string). Distributed epochs only; the driver-side
-    # micro-epoch path has no Dataset execution to report.
-    stage_stats: bool = False
     # Dead-letter queue: with a directory set, malformed change events
     # (invalid op, null lsn, null key) are QUARANTINED to
     # <dlq_dir>/epoch=N/part-*.parquet (raw rows + a `reason` column)
@@ -170,12 +172,11 @@ def _read_segments(
 
     Block count is pinned to ~cluster CPUs, independent of segment count:
     Ray's default read splitting (read_op_min_num_blocks=200) shatters a
-    bounded WAL micro-batch into tiny blocks, and the sort shuffle creates
-    O(blocks²) intermediate objects — measured 2× epoch wall at 64 vs 32
-    blocks on a 200k-event epoch, and far worse with one block per segment on
-    a 200-segment epoch. One to two blocks per core keeps full parallelism
-    with bounded shuffle fan-out (a read task may read several files, or a
-    file may split by row group)."""
+    bounded WAL micro-batch into tiny blocks, each one a task and an object,
+    and every merge actor fetches and slices every block of the epoch — so
+    the per-epoch work outside the kernels is O(blocks × actors). One to two
+    blocks per core keeps full map parallelism (a read task may read several
+    files, or a file may split by row group)."""
     cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
     groups: dict[tuple, list[str]] = {}
     schemas: dict[tuple, pa.Schema] = {}
@@ -246,31 +247,153 @@ def _detect_hot_pids(man: Manifest, cfg: ApplyConfig) -> list[int]:
     return sorted(p for p, n in counts.items() if n > cfg.hot_ratio * mean)
 
 
-def _apply_small_epoch(
-    segs: list[Segment], normalize, merge_kwargs: dict
-) -> list[dict]:
-    """Driver-side micro-epoch: read each parquet segment, run the shared
-    normalize fn, split by pid (one stable argsort + run boundaries), and
-    apply each group through ONE MergeApply instance — the same kernel the
-    actor pool runs, producing byte-identical parts for the shared
-    commit path. Returns the same stats rows ``take_all`` would."""
-    import numpy as np
-
-    tables = [normalize(pq.read_table(s.path)) for s in segs]
+def merge_by_pid(merger, tables: list[pa.Table]) -> list[dict]:
+    """The split-and-apply kernel of both apply paths: concatenate one
+    epoch's change rows, split them by pid (one stable argsort + run
+    boundaries) and apply each pid's group through ``merger`` (a MergeApply).
+    The driver-side micro-epoch runs it over the whole change set, each merge
+    actor over the rows routed to it — the same parts either way, for the
+    shared commit path. Returns the merger's stats rows."""
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return []
-    changes = pa.concat_tables(tables, promote_options="none")
+    names = tables[0].column_names
+    changes = pa.concat_tables([t.select(names) for t in tables])
     pids = changes.column("pid").to_numpy(zero_copy_only=False)
     order = np.argsort(pids, kind="stable")
     grouped = changes.take(pa.array(order))
     spids = pids[order]
     starts = np.flatnonzero(np.r_[True, spids[1:] != spids[:-1]])
     ends = np.r_[starts[1:], len(spids)]
-    merger = MergeApply(**merge_kwargs)
     stats: list[dict] = []
     for st, en in zip(starts, ends):
         stats.extend(merger(grouped.slice(st, en - st)).to_pylist())
+    return stats
+
+
+def _route(normalize, n: int, hot_pids: list[int], salt_factor: int):
+    """The distributed epoch's map fn: normalize, then append the ``dest``
+    merge-actor index of each row and sort the batch by it. A cold pid goes
+    to ``pid % n``; hot pid ``hot_pids[i]`` fans out to
+    ``n + i * salt_factor + salt`` — one reduce dest per (pid, salt)."""
+    hot = np.asarray(hot_pids, np.int64)
+
+    def fn(batch: pa.Table) -> pa.Table:
+        out = normalize(batch)
+        pid = out.column("pid").to_numpy(zero_copy_only=False).astype(np.int64)
+        dest = pid % n
+        is_hot = np.isin(pid, hot)
+        if is_hot.any():
+            salt = out.column("salt").to_numpy(zero_copy_only=False)[is_hot]
+            dest[is_hot] = n + np.searchsorted(hot, pid[is_hot]) * salt_factor + salt
+        order = np.argsort(dest, kind="stable")
+        return out.take(pa.array(order)).append_column(
+            "dest", pa.array(dest[order], pa.int64())
+        )
+
+    return fn
+
+
+def _dest_rows(blocks: list[pa.Table], dest: int) -> list[pa.Table]:
+    """Zero-copy slices of the rows routed to ``dest``. Each map batch is
+    sorted by dest, so a dest is one run per batch (a block may hold several
+    batches, hence runs rather than one searchsorted range). Empty blocks
+    may come without columns and are skipped."""
+    out = []
+    for block in blocks:
+        if not block.num_rows:
+            continue
+        hit = block.column("dest").to_numpy() == dest
+        edges = np.flatnonzero(np.diff(np.r_[0, hit.view(np.int8), 0]))
+        out.extend(
+            block.slice(st, en - st).drop_columns(["dest"])
+            for st, en in zip(edges[::2], edges[1::2])
+        )
+    return out
+
+
+@ray.remote(num_cpus=0)
+class MergeActor:
+    """One long-lived member of the merge pool (see :func:`_merge_pool`).
+    Holds no table state between calls: each epoch passes its merge class and
+    kwargs, so one pool serves every table and epoch of the session."""
+
+    def reduce(self, blocks: list, dest: int, mode: str, sum_cols: list) -> pa.Table:
+        """A hot pid's salted L1: the mode's change-reduce over one
+        (pid, salt) dest. Every doc_id lives in exactly one salt, so the
+        output is fully reduced per key."""
+        rows = _dest_rows(ray.get(blocks), dest)
+        if not rows:
+            return pa.table({})
+        return reduce_changes(pa.concat_tables(rows), mode, sum_cols)
+
+    def merge(self, spec, blocks: list, dest: int, partials: list) -> list[dict]:
+        """Apply this actor's own dest plus the reduced partials of the hot
+        pids it owns, through :func:`merge_by_pid`."""
+        merge_cls, merge_kwargs = spec
+        tables = _dest_rows(ray.get(blocks), dest) + ray.get(partials)
+        return merge_by_pid(merge_cls(**merge_kwargs), tables)
+
+
+# this process's merge pool: the Ray session it belongs to and its actors
+_POOL: dict = {}
+
+
+def _pool_size(concurrency: int | tuple) -> int:
+    """Merge pool size: an int as given; a (lo, hi) range clamped around
+    the session's CPU count."""
+    if isinstance(concurrency, int):
+        return max(1, concurrency)
+    lo, hi = concurrency
+    return max(lo, min(hi, int(ray.cluster_resources().get("CPU", 1))))
+
+
+def _merge_pool(n: int, fresh: bool = False) -> list:
+    """``n`` actors of the session-long merge pool, built on first use and
+    cached per Ray session (grown when a caller asks for more). A
+    ray.shutdown()/ray.init() pair gets a new pool, and so does
+    ``fresh=True`` (after an actor died)."""
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    if fresh or _POOL.get("session") != session:
+        _POOL.update(session=session, actors=[])
+    actors = _POOL["actors"]
+    actors.extend(MergeActor.remote() for _ in range(n - len(actors)))
+    return actors[:n]
+
+
+def _merge_on_pool(
+    blocks: list, pool: list, hot_pids: list[int], salt_factor: int, spec, mode, sum_cols
+) -> list[dict]:
+    """Run one epoch's merge on ``pool`` over the routed ``blocks``: every
+    hot (pid, salt) dest is reduced first, round-robin over the actors, and
+    its partial feeds the merge call of the actor that owns the pid. Reduce
+    calls are submitted before any merge call and an actor runs calls in
+    submission order, so every call waits only on calls submitted before it:
+    no deadlock, also when several threads' epochs share the pool."""
+    n = len(pool)
+    spec = ray.put(spec)
+    partials: list[list] = [[] for _ in range(n)]
+    for i, pid in enumerate(hot_pids):
+        for salt in range(salt_factor):
+            dest = n + i * salt_factor + salt
+            partials[pid % n].append(
+                pool[dest % n].reduce.remote(blocks, dest, mode, sum_cols)
+            )
+    calls = [
+        actor.merge.remote(spec, blocks, k, partials[k])
+        for k, actor in enumerate(pool)
+    ]
+    # settle every call before reporting a dead actor, so that no surviving
+    # actor still writes parts while the caller retries and commits
+    stats, died = [], None
+    for call in calls:
+        try:
+            stats.extend(ray.get(call))
+        except ray.exceptions.RayActorError as e:
+            died = e
+    if died is not None:
+        raise died
     return stats
 
 
@@ -418,51 +541,59 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         "skip_cols": man.skip_cols,
     }
     hot_pids = []
-    ray_stage_stats = None
     small = n_events <= cfg.small_epoch_events and all(
         s.format == "parquet" for s in segs
     )
+    t_read = time.perf_counter()
     if small:
         # Micro-epoch latency fast path (the MV small-tick trick applied to
-        # the apply loop itself): run the SAME normalize fn and MergeApply
-        # kernel driver-side, skipping a Dataset execution's ~1 s fixed cost.
+        # the apply loop itself): run the SAME normalize fn and merge kernel
+        # driver-side, skipping a Dataset execution's ~1 s fixed cost.
         # Identical results and the same part files by construction —
-        # the commit code below is shared; salting is skipped (LWW is
-        # associative, and a micro-batch has no skew worth fanning out).
-        stats = _apply_small_epoch(segs, normalize, merge_kwargs)
+        # the commit code below is shared; salting is skipped (every
+        # change-reduce is associative, and a micro-batch has no skew worth
+        # fanning out).
+        changes = [normalize(pq.read_table(s.path)) for s in segs]
+        t_merge = time.perf_counter()
+        stats = merge_by_pid(MergeApply(**merge_kwargs), changes)
     else:
-        changes = _read_segments(segs).map_batches(
-            normalize, batch_format="pyarrow", zero_copy_batch=True
-        )
         # Skew salting applies to the per-key compacting modes (upsert LWW,
         # sum rollups — a hot counter key is the sum-mode pain case — and
         # collapse); append groups do a plain concat, nothing to fan out.
         if not is_append:
             hot_pids = _detect_hot_pids(man, cfg)
-        if hot_pids:
-            # Two-level salted merge: L1 reduces (pid, salt) sub-groups in
-            # parallel with the mode's change-reduce (each doc_id lives in
-            # exactly one sub-group, so L1 output is fully reduced per key);
-            # L2 is the per-pid MergeApply.
-            changes = changes.groupby(["pid", "salt"]).map_groups(
-                functools.partial(
-                    reduce_changes, mode=man.mode, sum_cols=man.sum_cols
-                ),
+        pool = _merge_pool(_pool_size(cfg.merge_concurrency))
+        # materialize() before taking the refs: to_arrow_refs() on the lazy
+        # map would run it again to fetch the schema
+        routed = (
+            _read_segments(segs)
+            .map_batches(
+                _route(normalize, len(pool), hot_pids, cfg.salt_factor),
                 batch_format="pyarrow",
+                zero_copy_batch=True,
             )
-
-        stats_ds = changes.groupby("pid").map_groups(
-            MergeApply,
-            fn_constructor_kwargs=merge_kwargs,
-            batch_format="pyarrow",
-            concurrency=cfg.merge_concurrency,
-            num_cpus=1,
+            .materialize()
         )
-        stats = stats_ds.take_all()  # O(P) rows only
-        if cfg.stage_stats:
-            ray_stage_stats = stats_ds.stats()
+        blocks = routed.to_arrow_refs()
+        t_merge = time.perf_counter()
+        # the class is resolved here, at call time, and shipped with each
+        # epoch, so a swapped-in MergeApply (tracing) reaches the actors
+        merge = functools.partial(
+            _merge_on_pool, blocks, hot_pids=hot_pids,
+            salt_factor=cfg.salt_factor, spec=(MergeApply, merge_kwargs),
+            mode=man.mode, sum_cols=man.sum_cols,
+        )
+        try:
+            stats = merge(pool)
+        except ray.exceptions.RayActorError:
+            # an actor died (killed between epochs or mid-call): what it
+            # wrote is unreferenced and the commit's GC removes it
+            stats = merge(_merge_pool(len(pool), fresh=True))
+        del routed, blocks  # the epoch's blocks leave the object store
+    stats.sort(key=lambda row: row["pid"])  # actors answer in any order
 
     # ---- commit point: part dirs durable, then the manifest put ----
+    t_commit = time.perf_counter()
     seg_names = [s.name for s in segs]
     merged_rows = 0  # post-compaction change rows that reached the merge
     man.last_applied = {}
@@ -524,10 +655,14 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         epoch_stats["dlq_rows"] = _dlq_epoch_rows(cfg.dlq_dir, epoch)
     man.schema_b64 = schema_to_b64(snap_schema)
     _commit(man, epoch_stats)
-    if ray_stage_stats is not None:
-        # returned copy only — the manifest history stays O(small)
-        return {**epoch_stats, "stage_stats": ray_stage_stats}
-    return epoch_stats
+    t_end = time.perf_counter()
+    # returned copy only — the manifest history stays O(small)
+    phases = {
+        "read_normalize": t_merge - t_read,
+        "merge": t_commit - t_merge,
+        "commit": t_end - t_commit,
+    }
+    return {**epoch_stats, "phases_s": {k: round(v, 4) for k, v in phases.items()}}
 
 
 def replay(

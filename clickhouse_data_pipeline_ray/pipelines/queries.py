@@ -2773,8 +2773,7 @@ def q_multimodal_decode(sf_dir: str) -> ray.data.Dataset:
     # PERMANENTLY (2 actors) while their 1-CPU read tasks queue; at 0.5 the
     # pools pin 3 CPUs and a 4-CPU session (the pytest fixture) can
     # intermittently livelock with every read backpressured behind idle
-    # actors (observed: 30 min stall; same starvation class ApplyConfig's
-    # merge_concurrency comment documents). 0.25 leaves the reads headroom
+    # actors (observed: 30 min stall). 0.25 leaves the reads headroom
     # at any session size; decode stages are nowhere near CPU-bound.
     common = dict(batch_format="pyarrow", batch_size=128, concurrency=2, num_cpus=0.25)
 

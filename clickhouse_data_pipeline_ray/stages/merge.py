@@ -694,13 +694,14 @@ def _zones_json(rel: str, table: pa.Table, skip_cols: list[str]) -> str:
 class MergeApply:
     """Stateful merge worker: applies one partition's change group per call.
 
-    Runs as an actor pool via
-    ``grouped.map_groups(MergeApply, concurrency=(m, n), batch_format="pyarrow")``
-    — the Ray Data analog of the reference's long-lived loader with its DB
-    connection + watermark (/root/reference/etl/core/db.py:113-115,
-    /root/reference/etl/core/pipeline.py:197-202). Per-partition state
-    (base-file paths, watermarks, target schema) is resolved once in
-    ``__init__``; each ``__call__`` handles one pid group.
+    The kernel of both apply paths: ``pipelines.apply.merge_by_pid`` splits
+    an epoch's change rows by pid and calls one instance on each group —
+    driver-side on a micro-epoch, inside the session-long merge actors on a
+    distributed one (the Ray analog of the reference's long-lived loader
+    with its DB connection + watermark, the reference's
+    etl/core/db.py:113-115 and etl/core/pipeline.py:197-202). Per-partition
+    state (base-file paths, watermarks, target schema) is resolved once per
+    epoch in ``__init__``; each ``__call__`` handles one pid group.
 
     One flow for every table mode: watermark filter → :func:`reduce_changes`
     → either EXTEND the chain or FOLD it (an upsert fold skips the separate
