@@ -41,6 +41,7 @@ from ..stages.partition import n_reduce_buckets
 from ..state.artifacts import load_meta
 from ..state.buckets import bucket_files, swap_in
 from ..state.manifest import atomic_json_write
+from . import grow_from_one
 from .textstats import fingerprint_batch
 
 _MERSENNE = (1 << 61) - 1
@@ -585,7 +586,7 @@ def minhash_lsh_pairs(
             "key_col": key_col,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=grow_from_one(concurrency),
         num_cpus=0.5,
     ).materialize()
     # Pre-filter to colliding buckets (≥2 members) before any per-bucket
@@ -1327,7 +1328,7 @@ def embedding_neardup_pairs(
         HyperplaneLSH,
         fn_constructor_kwargs={"dim": dim, "n_planes": n_planes, "vec_col": vec_col},
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=grow_from_one(concurrency),
         num_cpus=0.5,
     ).materialize()
     counts = _multi_member_counts(bucketed, "bucket", driver_value_limit)
@@ -1863,7 +1864,7 @@ def _ledger_rows(
         stage,
         fn_constructor_kwargs=params,
         batch_format="pyarrow",
-        concurrency=2,
+        concurrency=(1, 2),
         num_cpus=0.5,
     ).map_batches(add_bucket, batch_format="pyarrow")
 

@@ -35,11 +35,12 @@ keeps nothing from that source.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from . import grow_from_one
 
 LEHMER_A = 48271
 LEHMER_M = 2147483647  # 2^31 - 1
@@ -186,8 +187,10 @@ def token_budget_sample(
         )
 
     cells = ds.map_batches(hist, batch_format="pyarrow").to_pandas()
-    if "source" not in cells:  # no budgeted source occurs: all-empty, schema-less
-        cells = pd.DataFrame({"source": [], "bucket": [], "sum_tok": []})
+    if "source" not in cells:
+        # no budgeted source occurs (or the corpus is empty): every row is
+        # kept, and no filter pool needs to start
+        return ds
     cells = cells.groupby(["source", "bucket"], as_index=False)["sum_tok"].sum()
 
     # driver: locate each source's boundary bucket (< n_buckets cumulative
@@ -281,6 +284,6 @@ def token_budget_sample(
             "budgeted": budgeted,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=grow_from_one(concurrency),
         num_cpus=0.5,
     )

@@ -58,6 +58,7 @@ import ray.data
 from ..state.artifacts import load_meta
 from ..state.buckets import bucket_files, swap_in
 from ..state.manifest import atomic_json_write
+from . import grow_from_one
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -264,7 +265,7 @@ def bm25_topk(
             "b": b,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=grow_from_one(concurrency),
         num_cpus=0.5,
     ).to_pandas()
     if parts.empty:

@@ -30,6 +30,7 @@ import ray.data
 from ..state.artifacts import load_meta
 from ..state.buckets import bucket_files, swap_in
 from ..state.manifest import atomic_json_write
+from . import grow_from_one
 
 
 def _to_matrix(col: pa.ChunkedArray) -> np.ndarray:
@@ -806,7 +807,7 @@ def build_pq_index(
             "vec_col": vec_col, "key_col": key_col,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=grow_from_one(concurrency),
         num_cpus=0.5,
     )
     code_dir = os.path.join(index_dir, "codes")

@@ -7,30 +7,34 @@ an in-memory watermark) and of its Kafka poll loop
 resumable micro-batch loop:
 
     pending segments (> manifest watermark, name-pruned)
-      → read_parquet (grouped by schema; union)             [streamed blocks]
-      → map_batches(normalize + pid/salt + per-batch reduce
-                    + route: dest column, batch sorted by it) [stateless tasks]
-      → materialize(); the driver takes the block refs
+      → read tasks (plain Ray tasks, ~1 per CPU, balanced by event count;
+        a segment splits by row group or row range when there are fewer
+        segments than CPUs):
+          read → normalize + pid/salt + per-batch reduce
+          → route: one table per merge dest, one return value each
       → merge actor pool (session-long, n actors):
           hot (pid, salt) dests: reduce_changes             [salted L1]
           own dest + hot partials: split by pid, MergeApply [stateful merge]
       → driver: fsync part dirs + put-if-absent manifest    [exactly-once]
 
-The per-epoch change volume is bounded by ``max_segments``, so one epoch's
-routed change set is materialized in the object store. Routing happens in
-the normalize map: a cold pid goes to actor ``pid % n``; a hot pid's rows
-fan out over ``salt_factor`` extra dests whose reduced partials feed that
-pid's merge. Each actor slices its dest out of every block (zero-copy runs of the sorted dest column) and runs the same
-split-and-apply kernel (:func:`merge_by_pid`) as the driver-side micro-epoch
-path. Hot-partition detection uses the previous epoch's per-pid applied
-counts from the manifest (skew is sticky in CDC streams), so there is no
-extra counting pass. The driver never holds row data — only O(P) stats rows
-from the merge actors.
+No stage runs a Ray Data execution: the tasks, the actor calls and the
+commit are the whole epoch. The per-epoch change volume is bounded by
+``max_segments``, and one epoch's routed change set sits in the object
+store until its merge calls return. A cold pid goes to actor ``pid % n``; a
+hot pid's rows fan out over ``salt_factor`` extra dests whose reduced
+partials feed that pid's merge. Each merge call fetches only its own dest's
+tables and runs the same split-and-apply kernel (:func:`merge_by_pid`) as
+the driver-side micro-epoch path. Hot-partition detection uses the previous
+epoch's per-pid applied counts from the manifest (skew is sticky in CDC
+streams), so there is no extra counting pass. The driver never holds row
+data — only O(P) stats rows from the merge actors.
 
 Each epoch appends O(changes) per-partition delta files and folds a
 partition's chain into one snapshot when it reaches ``compact_threshold`` —
 the MERGE-on-read scale path; ``compact_threshold=1`` folds touched
-partitions every epoch (MERGE-on-write).
+partitions every epoch (MERGE-on-write). Scans (:func:`read_snapshot`,
+:func:`read_time_range`) are plain Ray tasks too: one per partition, run at
+call time.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ class ApplyConfig:
     # Size of the session-long merge actor pool (see _merge_pool): an int is
     # used as given; a (lo, hi) range is clamped around the session's CPU
     # count. The actors reserve no CPU — they only run after the epoch's
-    # read+normalize map has materialized, so they never compete with its
-    # tasks, and an idle pool leaves every CPU to other Ray work.
+    # read tasks have finished, so they never compete with them, and an
+    # idle pool leaves every CPU to other Ray work.
     merge_concurrency: int | tuple = (1, 8)
     # a partition's file chain folds into one snapshot when it would reach
     # this many files (see MergeApply); 1 = MERGE-on-write every epoch
@@ -99,12 +103,12 @@ class ApplyConfig:
     # time is more than this many seconds behind the committed event-time
     # watermark. 0 = strictly monotone expectation.
     allowed_lateness_s: float = 0.0
-    # Epochs at or below this many raw events run normalize+merge DRIVER-SIDE
-    # with the SAME kernels and commit protocol (identical results by
-    # construction; pinned by tests): a Ray Dataset execution costs ~1 s of
-    # fixed scheduling/warmup, which dominates micro-batch epochs — the
-    # steady-state CDC tail case. Large epochs take the distributed path.
-    # 0 disables the fast path.
+    # Epochs at or below this many raw events run read+normalize+merge
+    # DRIVER-SIDE with the SAME kernels and commit protocol (identical
+    # results by construction; pinned by tests): the read tasks and the
+    # actor round trips cost tens of ms, which dominates micro-batch epochs
+    # — the steady-state CDC tail case. Large epochs take the distributed
+    # path. 0 disables the fast path.
     small_epoch_events: int = 20_000
     # Dead-letter queue: with a directory set, malformed change events
     # (invalid op, null lsn, null key) are QUARANTINED to
@@ -161,57 +165,119 @@ def _epoch_change_schema(man: Manifest, segs: list[Segment]) -> pa.Schema:
     return snap.insert(1, pa.field("op", pa.string())), snap
 
 
-def _read_segments(
-    segs: list[Segment], columns: list[str] | None = None
-) -> ray.data.Dataset:
-    """Read segments grouped by file schema (a WAL spanning a schema change
-    has heterogeneous files; per-group reads + union keep each read clean).
-    ``columns`` prunes the parquet read to the caller's needed columns (the
-    MV tick path passes its group/sum/lsn set); jsonl segments have no
-    column projection and read fully.
+def _read_piece(path: str, rows: tuple | None, columns: list[str] | None) -> pa.Table:
+    """One WAL piece: a whole segment (``rows=None``) or its ``[lo, hi)``
+    row range, which reads only the parquet row groups that hold it.
+    ``columns`` keeps the requested columns the file has: a WAL spanning a
+    schema evolution has pre-evolution files without the new columns, and
+    the caller null-fills the gap (the unify+cast convention)."""
+    if path.endswith(".jsonl"):
+        import pyarrow.json as pj
 
-    Block count is pinned to ~cluster CPUs, independent of segment count:
-    Ray's default read splitting (read_op_min_num_blocks=200) shatters a
-    bounded WAL micro-batch into tiny blocks, each one a task and an object,
-    and every merge actor fetches and slices every block of the epoch — so
-    the per-epoch work outside the kernels is O(blocks × actors). One to two
-    blocks per core keeps full map parallelism (a read task may read several
-    files, or a file may split by row group)."""
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    groups: dict[tuple, list[str]] = {}
-    schemas: dict[tuple, pa.Schema] = {}
-    for s in segs:
-        schema = segment_schema(s)
-        key = (s.format, schema.serialize().to_pybytes())
-        groups.setdefault(key, []).append(s.path)
-        schemas[key] = schema
-    total = sum(len(p) for p in groups.values())
-    target = max(cpus, min(total, 2 * cpus))
-    datasets = []
-    for (fmt, _schema), paths in groups.items():
-        blocks = max(1, round(target * len(paths) / total))
-        if fmt == "jsonl":
-            datasets.append(ray.data.read_json(paths, override_num_blocks=blocks))
+        # one parse block: types are inferred over the whole file
+        size = max(1 << 20, os.path.getsize(path) + 1)
+        t = pj.read_json(path, read_options=pj.ReadOptions(block_size=size))
+        return t.select([c for c in columns if c in t.column_names]) if columns else t
+    cols = None
+    if columns:
+        names = pq.read_schema(path).names
+        cols = [c for c in columns if c in names]
+    if rows is None:
+        return pq.read_table(path, columns=cols)
+    lo, hi = rows
+    f = pq.ParquetFile(path)
+    starts = _row_group_starts(f.metadata)
+    first = int(np.searchsorted(starts, lo, side="right")) - 1
+    last = int(np.searchsorted(starts, hi, side="left"))
+    t = f.read_row_groups(range(first, last), columns=cols)
+    return t.slice(lo - int(starts[first]), hi - lo)
+
+
+def _row_group_starts(md) -> np.ndarray:
+    """First row of every row group, then the file's row count."""
+    sizes = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
+    return np.cumsum([0] + sizes)
+
+
+def _read_pieces(pieces: list[tuple], fn, columns: list[str] | None = None) -> pa.Table:
+    """Read ``(path, rows)`` pieces (see :func:`_read_piece`) and map them
+    through ``fn``: the one reader of both apply paths and both MV tick
+    paths, on the driver or inside a read task. Consecutive pieces of one
+    file schema are concatenated into one ``fn`` call."""
+    runs: list[list[pa.Table]] = []
+    for path, rows in pieces:
+        t = _read_piece(path, rows, columns)
+        if runs and runs[-1][0].schema.equals(t.schema):
+            runs[-1].append(t)
         else:
-            # projection intersected per schema GROUP: a WAL spanning a
-            # schema evolution has pre-evolution files without the new
-            # columns, and projecting an absent column raises ArrowInvalid —
-            # the caller null-fills the gap (unify+cast convention)
-            cols_g = (
-                [c for c in columns if c in schemas[(fmt, _schema)].names]
-                if columns
-                else None
-            )
-            datasets.append(
-                ray.data.read_parquet(
-                    paths, override_num_blocks=blocks, columns=cols_g
-                )
-            )
-    ds = datasets[0]
-    for other in datasets[1:]:
-        ds = ds.union(other)
-    return ds
+            runs.append([t])
+    outs = [fn(pa.concat_tables(run)) for run in runs]
+    return pa.concat_tables(outs, promote_options="permissive")
 
+
+def _plan_reads(segs: list[Segment], n: int) -> list[list[tuple]]:
+    """The pieces of about ``n`` read tasks (``n`` = the session's CPUs),
+    balanced by event count. With at least ``n`` segments each task reads a
+    contiguous run of whole segments. With fewer, each segment is split into
+    its share of the ``n`` tasks: at row-group edges when it has enough row
+    groups, else into even row ranges (a JSONL segment stays whole: a row
+    range of it would parse the whole file). Many tasks of tiny pieces would
+    each cost a task, an object per merge dest and a fetch per merge call;
+    fewer than ``n`` would leave CPUs idle."""
+    sizes = [segment_num_rows(s) for s in segs]
+    total = sum(sizes)
+    if len(segs) >= n:
+        tasks: list[list[tuple]] = [[] for _ in range(n)]
+        done = 0
+        for s, k in zip(segs, sizes):
+            tasks[done * n // total].append((s.path, None))
+            done += k
+        return [t for t in tasks if t]
+    out = []
+    for s, k in zip(segs, sizes):
+        parts = max(1, round(n * k / total))
+        out.extend([(s.path, rows)] for rows in _split_segment(s, parts))
+    return out
+
+
+def _split_segment(seg: Segment, parts: int) -> list[tuple | None]:
+    """Row ranges that cut ``seg`` into about ``parts`` even pieces."""
+    if parts <= 1 or seg.format == "jsonl":
+        return [None]
+    md = pq.ParquetFile(seg.path).metadata
+    starts = _row_group_starts(md)
+    even = np.linspace(0, md.num_rows, parts + 1)
+    if md.num_row_groups >= parts:
+        # the row-group edge nearest each even cut
+        cuts = starts[np.abs(np.subtract.outer(starts, even)).argmin(axis=0)]
+    else:
+        cuts = even.round().astype(np.int64)
+    cuts = np.unique(cuts)
+    return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])] or [None]
+
+
+@ray.remote
+def _read_task(pieces: list[tuple], fn, split, columns: list[str] | None):
+    """One read task: :func:`_read_pieces`, then ``split`` (if given) cuts
+    the result into one table per merge dest, each its own return value."""
+    out = _read_pieces(pieces, fn, columns)
+    if split is None:
+        return out
+    tables = split(out)
+    return tables[0] if len(tables) == 1 else tuple(tables)
+
+
+def _read_on_tasks(
+    segs: list[Segment], fn, split=None, num_returns: int = 1,
+    columns: list[str] | None = None,
+) -> list[list]:
+    """Run :func:`_read_pieces` over ``segs`` as plain Ray tasks, about one
+    per session CPU (see :func:`_plan_reads`). Returns each task's
+    ``num_returns`` object refs."""
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    task = _read_task.options(num_returns=num_returns)
+    refs = [task.remote(p, fn, split, columns) for p in _plan_reads(segs, cpus)]
+    return [r if isinstance(r, list) else [r] for r in refs]
 
 
 def _worker_partitions(partitions: dict[str, dict]) -> dict[str, dict]:
@@ -271,15 +337,15 @@ def merge_by_pid(merger, tables: list[pa.Table]) -> list[dict]:
     return stats
 
 
-def _route(normalize, n: int, hot_pids: list[int], salt_factor: int):
-    """The distributed epoch's map fn: normalize, then append the ``dest``
-    merge-actor index of each row and sort the batch by it. A cold pid goes
-    to ``pid % n``; hot pid ``hot_pids[i]`` fans out to
-    ``n + i * salt_factor + salt`` — one reduce dest per (pid, salt)."""
+def _router(n: int, hot_pids: list[int], salt_factor: int):
+    """The distributed epoch's split: one table per merge dest, each a
+    zero-copy slice of the routed rows. A cold pid goes to ``pid % n``; hot
+    pid ``hot_pids[i]`` fans out to ``n + i * salt_factor + salt`` — one
+    reduce dest per (pid, salt)."""
     hot = np.asarray(hot_pids, np.int64)
+    n_dests = n + len(hot_pids) * salt_factor
 
-    def fn(batch: pa.Table) -> pa.Table:
-        out = normalize(batch)
+    def split(out: pa.Table) -> list[pa.Table]:
         pid = out.column("pid").to_numpy(zero_copy_only=False).astype(np.int64)
         dest = pid % n
         is_hot = np.isin(pid, hot)
@@ -287,52 +353,34 @@ def _route(normalize, n: int, hot_pids: list[int], salt_factor: int):
             salt = out.column("salt").to_numpy(zero_copy_only=False)[is_hot]
             dest[is_hot] = n + np.searchsorted(hot, pid[is_hot]) * salt_factor + salt
         order = np.argsort(dest, kind="stable")
-        return out.take(pa.array(order)).append_column(
-            "dest", pa.array(dest[order], pa.int64())
-        )
+        routed = out.take(pa.array(order))
+        edges = np.searchsorted(dest[order], np.arange(n_dests + 1))
+        return [routed.slice(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
 
-    return fn
-
-
-def _dest_rows(blocks: list[pa.Table], dest: int) -> list[pa.Table]:
-    """Zero-copy slices of the rows routed to ``dest``. Each map batch is
-    sorted by dest, so a dest is one run per batch (a block may hold several
-    batches, hence runs rather than one searchsorted range). Empty blocks
-    may come without columns and are skipped."""
-    out = []
-    for block in blocks:
-        if not block.num_rows:
-            continue
-        hit = block.column("dest").to_numpy() == dest
-        edges = np.flatnonzero(np.diff(np.r_[0, hit.view(np.int8), 0]))
-        out.extend(
-            block.slice(st, en - st).drop_columns(["dest"])
-            for st, en in zip(edges[::2], edges[1::2])
-        )
-    return out
+    return split
 
 
 @ray.remote(num_cpus=0)
 class MergeActor:
     """One long-lived member of the merge pool (see :func:`_merge_pool`).
     Holds no table state between calls: each epoch passes its merge class and
-    kwargs, so one pool serves every table and epoch of the session."""
+    kwargs, so one pool serves every table and epoch of the session. Each
+    call fetches only its own dest's tables, one from every read task."""
 
-    def reduce(self, blocks: list, dest: int, mode: str, sum_cols: list) -> pa.Table:
+    def reduce(self, parts: list, mode: str, sum_cols: list) -> pa.Table:
         """A hot pid's salted L1: the mode's change-reduce over one
         (pid, salt) dest. Every doc_id lives in exactly one salt, so the
         output is fully reduced per key."""
-        rows = _dest_rows(ray.get(blocks), dest)
+        rows = [t for t in ray.get(parts) if t.num_rows]
         if not rows:
             return pa.table({})
         return reduce_changes(pa.concat_tables(rows), mode, sum_cols)
 
-    def merge(self, spec, blocks: list, dest: int, partials: list) -> list[dict]:
+    def merge(self, spec, parts: list, partials: list) -> list[dict]:
         """Apply this actor's own dest plus the reduced partials of the hot
         pids it owns, through :func:`merge_by_pid`."""
         merge_cls, merge_kwargs = spec
-        tables = _dest_rows(ray.get(blocks), dest) + ray.get(partials)
-        return merge_by_pid(merge_cls(**merge_kwargs), tables)
+        return merge_by_pid(merge_cls(**merge_kwargs), ray.get(parts) + ray.get(partials))
 
 
 # this process's merge pool: the Ray session it belongs to and its actors
@@ -363,14 +411,16 @@ def _merge_pool(n: int, fresh: bool = False) -> list:
 
 
 def _merge_on_pool(
-    blocks: list, pool: list, hot_pids: list[int], salt_factor: int, spec, mode, sum_cols
+    by_dest: list[list], pool: list, hot_pids: list[int], salt_factor: int, spec,
+    mode, sum_cols,
 ) -> list[dict]:
-    """Run one epoch's merge on ``pool`` over the routed ``blocks``: every
-    hot (pid, salt) dest is reduced first, round-robin over the actors, and
-    its partial feeds the merge call of the actor that owns the pid. Reduce
-    calls are submitted before any merge call and an actor runs calls in
-    submission order, so every call waits only on calls submitted before it:
-    no deadlock, also when several threads' epochs share the pool."""
+    """Run one epoch's merge on ``pool``; ``by_dest[d]`` holds every read
+    task's table for dest ``d``. Every hot (pid, salt) dest is reduced
+    first, round-robin over the actors, and its partial feeds the merge call
+    of the actor that owns the pid. Reduce calls are submitted before any
+    merge call and an actor runs calls in submission order, so every call
+    waits only on calls submitted before it: no deadlock, also when several
+    threads' epochs share the pool."""
     n = len(pool)
     spec = ray.put(spec)
     partials: list[list] = [[] for _ in range(n)]
@@ -378,22 +428,23 @@ def _merge_on_pool(
         for salt in range(salt_factor):
             dest = n + i * salt_factor + salt
             partials[pid % n].append(
-                pool[dest % n].reduce.remote(blocks, dest, mode, sum_cols)
+                pool[dest % n].reduce.remote(by_dest[dest], mode, sum_cols)
             )
     calls = [
-        actor.merge.remote(spec, blocks, k, partials[k])
+        actor.merge.remote(spec, by_dest[k], partials[k])
         for k, actor in enumerate(pool)
     ]
-    # settle every call before reporting a dead actor, so that no surviving
-    # actor still writes parts while the caller retries and commits
-    stats, died = [], None
+    # settle every call before raising, so that no surviving actor still
+    # writes parts while the caller retries and commits; a failed read
+    # fails every call that fetches it
+    stats, error = [], None
     for call in calls:
         try:
             stats.extend(ray.get(call))
-        except ray.exceptions.RayActorError as e:
-            died = e
-    if died is not None:
-        raise died
+        except ray.exceptions.RayError as e:
+            error = error or e
+    if error is not None:
+        raise error
     return stats
 
 
@@ -541,21 +592,18 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         "skip_cols": man.skip_cols,
     }
     hot_pids = []
-    small = n_events <= cfg.small_epoch_events and all(
-        s.format == "parquet" for s in segs
-    )
     t_read = time.perf_counter()
-    if small:
+    if n_events <= cfg.small_epoch_events:
         # Micro-epoch latency fast path (the MV small-tick trick applied to
-        # the apply loop itself): run the SAME normalize fn and merge kernel
-        # driver-side, skipping a Dataset execution's ~1 s fixed cost.
-        # Identical results and the same part files by construction —
-        # the commit code below is shared; salting is skipped (every
-        # change-reduce is associative, and a micro-batch has no skew worth
-        # fanning out).
-        changes = [normalize(pq.read_table(s.path)) for s in segs]
+        # the apply loop itself): run the SAME reader, normalize fn and merge
+        # kernel driver-side, skipping the tasks' scheduling and the actor
+        # round trips. Identical results and the same part files by
+        # construction — the commit code below is shared; salting is skipped
+        # (every change-reduce is associative, and a micro-batch has no skew
+        # worth fanning out).
+        changes = _read_pieces([(s.path, None) for s in segs], normalize)
         t_merge = time.perf_counter()
-        stats = merge_by_pid(MergeApply(**merge_kwargs), changes)
+        stats = merge_by_pid(MergeApply(**merge_kwargs), [changes])
     else:
         # Skew salting applies to the per-key compacting modes (upsert LWW,
         # sum rollups — a hot counter key is the sum-mode pain case — and
@@ -563,23 +611,21 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         if not is_append:
             hot_pids = _detect_hot_pids(man, cfg)
         pool = _merge_pool(_pool_size(cfg.merge_concurrency))
-        # materialize() before taking the refs: to_arrow_refs() on the lazy
-        # map would run it again to fetch the schema
-        routed = (
-            _read_segments(segs)
-            .map_batches(
-                _route(normalize, len(pool), hot_pids, cfg.salt_factor),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .materialize()
+        n_dests = len(pool) + len(hot_pids) * cfg.salt_factor
+        parts = _read_on_tasks(
+            segs, normalize, split=_router(len(pool), hot_pids, cfg.salt_factor),
+            num_returns=n_dests,
         )
-        blocks = routed.to_arrow_refs()
+        # every merge call needs its dest from every task: wait for the
+        # reads (without fetching them here) to time the phases apart
+        refs = [r for task in parts for r in task]
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        by_dest = [[task[d] for task in parts] for d in range(n_dests)]
         t_merge = time.perf_counter()
         # the class is resolved here, at call time, and shipped with each
         # epoch, so a swapped-in MergeApply (tracing) reaches the actors
         merge = functools.partial(
-            _merge_on_pool, blocks, hot_pids=hot_pids,
+            _merge_on_pool, by_dest, hot_pids=hot_pids,
             salt_factor=cfg.salt_factor, spec=(MergeApply, merge_kwargs),
             mode=man.mode, sum_cols=man.sum_cols,
         )
@@ -589,7 +635,7 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
             # an actor died (killed between epochs or mid-call): what it
             # wrote is unreferenced and the commit's GC removes it
             stats = merge(_merge_pool(len(pool), fresh=True))
-        del routed, blocks  # the epoch's blocks leave the object store
+        del parts, refs, by_dest  # the epoch's tables leave the object store
     stats.sort(key=lambda row: row["pid"])  # actors answer in any order
 
     # ---- commit point: part dirs durable, then the manifest put ----
@@ -1301,17 +1347,37 @@ def repartition_table(
     return out
 
 
+@ray.remote
+def _read_partition(reader, pid: int) -> pa.Table:
+    return reader(pa.table({"pid": pa.array([pid], pa.int64())}))
+
+
+def _scan(reader, pids: list[int]) -> ray.data.Dataset:
+    """Run ``reader`` (a :func:`make_partition_reader` fn) as one Ray task
+    per partition, now, and wrap the tables as a Dataset."""
+    reader = ray.put(reader)
+    return ray.data.from_arrow_refs(
+        [_read_partition.remote(reader, pid) for pid in sorted(pids)]
+    )
+
+
 def read_snapshot(
     table_dir: str,
     epoch: int | None = None,
     columns: list[str] | None = None,
 ) -> ray.data.Dataset:
-    """The committed table as a Ray Dataset.
+    """The committed table as a Ray Dataset, read at call time.
 
-    MERGE-on-read: each task reconstructs one partition from its file chain
-    (base snapshot + deltas → LWW → drop tombstones). Partition chains are
-    independent, so this is an embarrassingly parallel map — no shuffle. After
-    a compaction the chain is one clean file and the merge is a no-op cast.
+    MERGE-on-read: one Ray task per partition reconstructs it from its file
+    chain (base snapshot + deltas → LWW → drop tombstones). Partition chains
+    are independent, so this is an embarrassingly parallel read — no
+    shuffle. After a compaction the chain is one clean file and the merge is
+    a no-op cast.
+
+    The returned Dataset is materialized: its blocks are the tasks' tables,
+    so every consumer reads each partition once, and later commits or GC
+    cannot take files from under it. The cost is that the (projected)
+    snapshot is held in the object store while the Dataset lives.
 
     ``columns`` pushes projection into the parquet reads (only the requested
     columns + the mode's merge keys leave storage — pass it whenever a
@@ -1330,7 +1396,6 @@ def read_snapshot(
             else man.schema
         )
         return ray.data.from_arrow(schema.empty_table())
-    items = [{"pid": pid} for pid in sorted(pids)]
     reader = make_partition_reader(
         table_dir,
         man.schema_b64,
@@ -1339,9 +1404,7 @@ def read_snapshot(
         sum_cols=man.sum_cols,
         columns=columns,
     )
-    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        reader, batch_format="pyarrow", batch_size=None
-    )
+    return _scan(reader, pids)
 
 
 def files_for_time_range(
@@ -1380,7 +1443,6 @@ def read_time_range(
     if not chains:
         return ray.data.from_arrow(man.schema.empty_table())
     ts_col = man.spec["col"]
-    items = [{"pid": int(pid)} for pid in sorted(chains, key=int)]
     reader = make_partition_reader(
         table_dir, man.schema_b64, chains, mode=man.mode, sum_cols=man.sum_cols
     )
@@ -1393,9 +1455,7 @@ def read_time_range(
         )
         return t.filter(mask)
 
-    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        read_and_trim, batch_format="pyarrow", batch_size=None
-    )
+    return _scan(read_and_trim, [int(pid) for pid in chains])
 
 
 def snapshot_table(table_dir: str, epoch: int | None = None) -> pa.Table:

@@ -59,6 +59,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..sources.wal import pending_segments
 from ..stages.merge import merge_needed_columns, read_partition_final
@@ -69,8 +70,8 @@ from ..state.registry import file_lock
 MV_DIR = "mv"
 SPEC_NAME = "mvspec.json"
 # append-table ticks at or below this many events run the combiner
-# driver-side (one parquet read per segment) instead of paying a Ray Dataset
-# execution's ~1 s fixed cost; large catch-up folds use the distributed path
+# driver-side instead of scheduling read tasks; large catch-up folds run on
+# the apply path's read tasks
 SMALL_TICK_EVENTS = 500_000
 
 
@@ -614,7 +615,7 @@ def _refresh_upsert_mv_locked(table_dir: str, name: str) -> dict | None:
 
 
 def _refresh_mv_locked(table_dir: str, wal_dir: str, name: str) -> dict | None:
-    from .apply import _read_segments
+    from .apply import _read_on_tasks, _read_pieces
 
     t0 = time.perf_counter()
     spec = load_mv(table_dir, name)
@@ -663,30 +664,23 @@ def _refresh_mv_locked(table_dir: str, wal_dir: str, name: str) -> dict | None:
                 b = b.append_column(c, pa.nulls(b.num_rows, ref.field(c).type))
         return b
 
-    if tick_events <= SMALL_TICK_EVENTS and all(s.format == "parquet" for s in segs):
-        # latency fast path: a Ray Dataset execution costs ~1 s of fixed
-        # scheduling/warmup — for a small tick (the steady-state case:
-        # refresh-per-epoch over micro-batches) reading the few segments on
-        # the driver and running the SAME combiner is strictly faster.
-        # Identical results by construction (one shared partial fn); the
-        # distributed path takes over when a lagging MV catches up over a
-        # large WAL span. Both paths read only the tick's needed columns.
-        def read_one(s) -> pa.Table:
-            present = [
-                c for c in pq.ParquetFile(s.path).schema_arrow.names
-                if c in tick_cols
-            ]
-            return conform(pq.read_table(s.path, columns=present))
+    def tick_partial(b: pa.Table) -> pa.Table:
+        return partial_fn(conform(b))
 
-        parts = pa.concat_tables(
-            [partial_fn(read_one(s)) for s in segs]
-        ).to_pandas()
+    if tick_events <= SMALL_TICK_EVENTS:
+        # latency fast path: for a small tick (the steady-state case:
+        # refresh-per-epoch over micro-batches) reading the few segments on
+        # the driver beats scheduling read tasks. Identical results by
+        # construction (one shared reader and partial fn); the read tasks
+        # take over when a lagging MV catches up over a large WAL span.
+        # Both paths read only the tick's needed columns.
+        parts = _read_pieces([(s.path, None) for s in segs], tick_partial, tick_cols)
     else:
-        parts = (
-            _read_segments(segs, columns=tick_cols)
-            .map_batches(lambda b: partial_fn(conform(b)), batch_format="pyarrow")
-            .to_pandas()
+        refs = _read_on_tasks(segs, tick_partial, columns=tick_cols)
+        parts = pa.concat_tables(
+            ray.get([r for (r,) in refs]), promote_options="permissive"
         )
+    parts = parts.to_pandas()
     prev = _state_raw(table_dir, name, spec)
     # dropna=False inside: an enriched group key is NULL when the dim misses
     # the fact's key (LEFT JOIN convention) — those groups are real state

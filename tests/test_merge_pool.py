@@ -111,19 +111,9 @@ def test_actor_dies_mid_epoch(ray_session, tmp_path, monkeypatch):
     assert _parts_on_disk(table) == head
 
 
-def test_concurrent_salted_epochs_share_the_pool(ray_session, tmp_path, monkeypatch):
+def test_concurrent_salted_epochs_share_the_pool(ray_session, tmp_path):
     """Two threads replay their own tables with salted distributed epochs on
     the one pool; both finish and both equal the oracle."""
-    # Ray Data's path resolution retries an import that fails without
-    # aiohttp, and two threads racing on it fail; only reads are serialized
-    read_lock = threading.Lock()
-    read_segments = apply_mod._read_segments
-
-    def serialized_read(*args, **kwargs):
-        with read_lock:
-            return read_segments(*args, **kwargs)
-
-    monkeypatch.setattr(apply_mod, "_read_segments", serialized_read)
     wal = _wal(tmp_path)
     cfg = ApplyConfig(merge_concurrency=2, salt_factor=4, hot_ratio=0.0,
                       max_segments=1, small_epoch_events=0)
