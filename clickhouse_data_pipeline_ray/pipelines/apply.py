@@ -69,6 +69,7 @@ from ..sources.wal import (
 from ..stages.merge import (
     MergeApply,
     collapse_winner_mask,
+    granule_ranges,
     promote_part,
     reduce_changes,
 )
@@ -1160,20 +1161,10 @@ def _files_min_ts_us(table_dir: str, files: list[str], col: str) -> int | None:
     mins: list[int] = []
     for rel in files:
         md = pq.ParquetFile(os.path.join(table_dir, rel)).metadata
-        idx = None
-        if md.num_row_groups:
-            rg0 = md.row_group(0)
-            for i in range(rg0.num_columns):
-                if rg0.column(i).path_in_schema == col:
-                    idx = i
-                    break
-            if idx is None:
+        for r in granule_ranges(md, col):
+            if r is None:
                 return None
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:
-                return None
-            mins.append(pa.scalar(st.min, pa.timestamp("us")).value)
+            mins.append(pa.scalar(r[0], pa.timestamp("us")).value)
     return min(mins) if mins else None
 
 

@@ -40,6 +40,12 @@ _SRC_BASE = 0
 _SRC_CHANGE = 1
 
 
+# Arrow bytes per row group ("granule") of every written part. Parts are
+# key-sorted, so each granule's key min/max in the footer is the sparse
+# primary index a point lookup prunes by (pipelines/lookup.py).
+GRANULE_BYTES = 256 << 10
+
+
 def write_part(
     table_dir: str,
     pid: int,
@@ -58,15 +64,44 @@ def write_part(
     until a committed manifest names it; a crashed, losing or retried
     writer leaves only unreferenced files for GC, never a changed one.
 
+    Granules: the part is written in row groups of
+    ``ceil(num_rows * GRANULE_BYTES / table.nbytes)`` rows, about 256 KiB
+    of Arrow data each, whose footer statistics hold each group's key
+    min/max (the rows arrive key-sorted, so the ranges do not overlap).
+    List payload columns (``tokens``) are written without a dictionary:
+    every row group carries its own dictionary, so a dictionary of token
+    ids would repeat the vocabulary in every granule. The other columns
+    keep theirs.
+
     Returns (relative path, bytes)."""
     part_dir = os.path.join(table_dir, "parts", f"pid={pid:05d}")
     os.makedirs(part_dir, exist_ok=True)
     rel = os.path.join("parts", f"pid={pid:05d}", part_name(kind, epoch))
+    group_rows = max(1, -(-table.num_rows * GRANULE_BYTES // max(1, table.nbytes)))
+    dict_cols = [f.name for f in table.schema if not pa.types.is_nested(f.type)]
     size = write_file_once(
         os.path.join(table_dir, rel),
-        lambda f: pq.write_table(table, f, compression=compression),
+        lambda f: pq.write_table(
+            table, f, compression=compression, row_group_size=group_rows,
+            use_dictionary=dict_cols,
+        ),
     )
     return rel, size
+
+
+def granule_ranges(md: pq.FileMetaData, col: str) -> list[tuple | None]:
+    """Per row group ``(min, max)`` of ``col`` from the footer statistics
+    alone (no data page read); ``None`` for a group without them, and for
+    every group of a file that has no such column."""
+    idx = next(
+        (i for i in range(md.num_columns) if md.schema.column(i).path == col),
+        None,
+    )
+    out: list[tuple | None] = []
+    for rg in range(md.num_row_groups):
+        st = None if idx is None else md.row_group(rg).column(idx).statistics
+        out.append((st.min, st.max) if st is not None and st.has_min_max else None)
+    return out
 
 
 def promote_part(table_dir: str, rel: str) -> None:

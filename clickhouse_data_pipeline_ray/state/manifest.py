@@ -275,7 +275,8 @@ def init_table(
 def load_manifest(table_dir: str, epoch: int | None = None) -> Manifest:
     """Load the current manifest, or a retained historical one (time travel:
     every commit also writes ``manifest-{epoch:06d}.json`` and keeps the last
-    ``MANIFEST_RETENTION`` of them; file GC preserves any file referenced by
+    ``retention`` of them, a per-table setting (``MANIFEST_RETENTION`` by
+    default); file GC preserves any file referenced by
     a retained manifest, so historical snapshots stay readable — the
     Iceberg/Delta snapshot-isolation idea on the same put-if-absent commit).
 
@@ -301,7 +302,8 @@ def load_manifest(table_dir: str, epoch: int | None = None) -> Manifest:
             if epoch is not None:
                 raise ValueError(
                     f"epoch {epoch} is not retained (retention="
-                    f"{MANIFEST_RETENTION}); available: {retained_epochs(table_dir)}"
+                    f"{load_manifest(table_dir).retention}); available: "
+                    f"{retained_epochs(table_dir)}"
                 ) from None
             # the listed head was superseded and pruned before the open
     return Manifest(

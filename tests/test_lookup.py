@@ -1,6 +1,9 @@
-"""Point lookups: correctness vs the full snapshot, partition-level pruning,
-tombstone/delta-chain handling, and time travel."""
+"""Point lookups: correctness vs the full snapshot, partition-level and
+granule pruning, tombstone/delta-chain handling, and time travel."""
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from clickhouse_data_pipeline_ray.pipelines.apply import (
@@ -67,13 +70,13 @@ def test_only_routed_partitions_opened(ray_session, tmp_path, monkeypatch):
     snap = snapshot_table(table).to_pandas()
     key = snap["doc_id"].iloc[0]
     opened = []
-    real = L.pq.read_table
+    real = L.pq.ParquetFile
 
     def spy(path, **kw):
         opened.append(path)
         return real(path, **kw)
 
-    monkeypatch.setattr(L.pq, "read_table", spy)
+    monkeypatch.setattr(L.pq, "ParquetFile", spy)
     L.lookup_keys(table, [key])
     from clickhouse_data_pipeline_ray.stages.partition import partition_of
 
@@ -118,3 +121,66 @@ def test_wrong_table_kinds_rejected(ray_session, tmp_path):
     )
     with pytest.raises(ValueError, match="time-partitioned"):
         L.lookup_keys(t2, ["d-1"])
+
+
+def test_lookup_many_keys_equals_snapshot(ray_session, tmp_path):
+    """A lookup of ≥1,000 keys — live, deleted and absent, with duplicates,
+    routed in one hash call — equals the snapshot filtered to them, in key
+    order."""
+    import duckdb
+
+    table = _table(tmp_path)
+    wal = str(tmp_path / "wal")
+    snap = snapshot_table(table)
+    live = snap.column("doc_id").to_pylist()
+    deleted = duckdb.sql(
+        f"""SELECT doc_id FROM read_parquet('{wal}/seg-*.parquet')
+            GROUP BY doc_id HAVING arg_max(op, lsn) = 'd'"""
+    ).df()["doc_id"].tolist()
+    absent = [f"nope-{i}" for i in range(50)]
+    keys = live[::-1] + deleted + absent + live[:200] + deleted[:20]
+    assert len(set(keys)) >= 1_000 and deleted
+    got = L.lookup_keys(table, keys)
+    want = snap.filter(pc.is_in(snap.column("doc_id"), pa.array(keys)))
+    want = want.sort_by([("doc_id", "ascending")])
+    assert got.column("doc_id").to_pylist() == want.column("doc_id").to_pylist()
+    assert got.select(want.column_names).to_pylist() == want.to_pylist()
+
+
+def test_lookup_reads_one_granule(ray_session, tmp_path, monkeypatch):
+    """A compacted partition written in ≥4 granules serves a single-key
+    lookup by decoding exactly the one row group that holds the key."""
+    from clickhouse_data_pipeline_ray.state.manifest import load_manifest
+
+    wal = str(tmp_path / "wal")
+    generate_wal(
+        wal,
+        GenParams(
+            total_events=2_000, base_events=1_500, events_per_segment=1_000,
+            tok_min=256, tok_max=512,
+        ),
+    )
+    table = str(tmp_path / "t")
+    create_table(table, num_partitions=1)
+    replay(table, wal, ApplyConfig(max_segments=1), final_compact=True)
+    (rel,) = load_manifest(table).partitions["0"]["files"]
+    path = f"{table}/{rel}"
+    md = pq.ParquetFile(path).metadata
+    assert md.num_row_groups >= 4
+    g = md.num_row_groups // 2
+    key = pq.ParquetFile(path).read_row_group(g).column("doc_id")[1].as_py()
+
+    decoded = []
+    real = L.pq.ParquetFile
+
+    class Spy(real):
+        def read_row_groups(self, row_groups, **kw):
+            decoded.extend(row_groups)
+            return super().read_row_groups(row_groups, **kw)
+
+    monkeypatch.setattr(L.pq, "ParquetFile", Spy)
+    got = L.lookup_keys(table, [key])
+    assert decoded == [g]
+    want = snapshot_table(table).to_pandas().set_index("doc_id").loc[key]
+    assert got["lsn"][0].as_py() == want["lsn"]
+    assert got["tokens"][0].as_py() == list(want["tokens"])

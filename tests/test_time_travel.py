@@ -99,3 +99,20 @@ def test_per_table_retention_override(ray_session, tmp_path):
     # 9 commits total (init + 8 epochs); only the last 3 manifests retained
     assert len(retained_epochs(t)) == 3
     assert retained_epochs(t) == [6, 7, 8]
+
+
+def test_unretained_error_reports_table_retention(ray_session, wal, tmp_path):
+    """The error names the table's own retention, not the default."""
+    from clickhouse_data_pipeline_ray.pipelines.apply import read_snapshot
+    from clickhouse_data_pipeline_ray.pipelines.lookup import lookup_keys
+
+    t = str(tmp_path / "t")
+    create_table(t, num_partitions=2, retention=2)
+    cfg = ApplyConfig(max_segments=1, salt_factor=1)
+    for _ in range(4):
+        apply_once(t, wal, cfg)
+    assert retained_epochs(t) == [3, 4]
+    with pytest.raises(ValueError, match=r"retention=2\)"):
+        lookup_keys(t, ["d-1"], epoch=1)
+    with pytest.raises(ValueError, match=r"retention=2\)"):
+        read_snapshot(t, epoch=1)
