@@ -33,8 +33,8 @@ Each epoch appends O(changes) per-partition delta files and folds a
 partition's chain into one snapshot when it reaches ``compact_threshold`` —
 the MERGE-on-read scale path; ``compact_threshold=1`` folds touched
 partitions every epoch (MERGE-on-write). Scans (:func:`read_snapshot`,
-:func:`read_time_range`) are plain Ray tasks too: one per partition, run at
-call time.
+:func:`read_time_range`) are plain Ray tasks too, about one per CPU over
+runs of whole partitions, run at call time.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from ..stages.merge import (
     collapse_winner_mask,
     granule_ranges,
     promote_part,
+    read_part,
     reduce_changes,
 )
 from ..stages.normalize import make_normalize_fn
@@ -179,18 +180,14 @@ def _read_piece(path: str, rows: tuple | None, columns: list[str] | None) -> pa.
         size = max(1 << 20, os.path.getsize(path) + 1)
         t = pj.read_json(path, read_options=pj.ReadOptions(block_size=size))
         return t.select([c for c in columns if c in t.column_names]) if columns else t
-    cols = None
-    if columns:
-        names = pq.read_schema(path).names
-        cols = [c for c in columns if c in names]
+    columns = columns or None
     if rows is None:
-        return pq.read_table(path, columns=cols)
+        return read_part(path, columns)
     lo, hi = rows
-    f = pq.ParquetFile(path)
-    starts = _row_group_starts(f.metadata)
+    starts = _row_group_starts(pq.read_metadata(path))
     first = int(np.searchsorted(starts, lo, side="right")) - 1
     last = int(np.searchsorted(starts, hi, side="left"))
-    t = f.read_row_groups(range(first, last), columns=cols)
+    t = read_part(path, columns, range(first, last))
     return t.slice(lo - int(starts[first]), hi - lo)
 
 
@@ -216,24 +213,42 @@ def _read_pieces(pieces: list[tuple], fn, columns: list[str] | None = None) -> p
     return pa.concat_tables(outs, promote_options="permissive")
 
 
+def _session_cpus() -> int:
+    return max(1, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def _balanced_runs(weights: list[int], n: int) -> list[list[int]]:
+    """Cut the items ``0 .. len(weights) - 1`` into at most ``n`` contiguous
+    runs of about equal weight: item ``i`` joins run ``n * (weight before
+    i) // total`` (all-zero weights count 1 each). The one balancing rule of
+    every task plan: read tasks over WAL segments (by event count), scan
+    and maintenance tasks over partitions (by chain bytes)."""
+    total = sum(weights)
+    if total <= 0:
+        weights, total = [1] * len(weights), len(weights)
+    runs: list[list[int]] = [[] for _ in range(n)]
+    done = 0
+    for i, w in enumerate(weights):
+        runs[min(n - 1, done * n // total)].append(i)
+        done += w
+    return [r for r in runs if r]
+
+
 def _plan_reads(segs: list[Segment], n: int) -> list[list[tuple]]:
     """The pieces of about ``n`` read tasks (``n`` = the session's CPUs),
     balanced by event count. With at least ``n`` segments each task reads a
-    contiguous run of whole segments. With fewer, each segment is split into
-    its share of the ``n`` tasks: at row-group edges when it has enough row
-    groups, else into even row ranges (a JSONL segment stays whole: a row
-    range of it would parse the whole file). Many tasks of tiny pieces would
+    contiguous run of whole segments (:func:`_balanced_runs`). With fewer,
+    each segment is split into its share of the ``n`` tasks: at row-group
+    edges when it has enough row groups, else into even row ranges (a JSONL
+    segment stays whole: a row range of it would parse the whole file). Many tasks of tiny pieces would
     each cost a task, an object per merge dest and a fetch per merge call;
     fewer than ``n`` would leave CPUs idle."""
     sizes = [segment_num_rows(s) for s in segs]
     total = sum(sizes)
     if len(segs) >= n:
-        tasks: list[list[tuple]] = [[] for _ in range(n)]
-        done = 0
-        for s, k in zip(segs, sizes):
-            tasks[done * n // total].append((s.path, None))
-            done += k
-        return [t for t in tasks if t]
+        return [
+            [(segs[i].path, None) for i in run] for run in _balanced_runs(sizes, n)
+        ]
     out = []
     for s, k in zip(segs, sizes):
         parts = max(1, round(n * k / total))
@@ -275,9 +290,9 @@ def _read_on_tasks(
     """Run :func:`_read_pieces` over ``segs`` as plain Ray tasks, about one
     per session CPU (see :func:`_plan_reads`). Returns each task's
     ``num_returns`` object refs."""
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
     task = _read_task.options(num_returns=num_returns)
-    refs = [task.remote(p, fn, split, columns) for p in _plan_reads(segs, cpus)]
+    plan = _plan_reads(segs, _session_cpus())
+    refs = [task.remote(p, fn, split, columns) for p in plan]
     return [r if isinstance(r, list) else [r] for r in refs]
 
 
@@ -841,11 +856,11 @@ def compact_table(
 
 # Maintenance passes (compaction / TTL / mutation) whose selected chains
 # total at most this many bytes fold DRIVER-SIDE with the same worker kernel
-# (identical files by construction) instead of paying a Ray Dataset
-# execution's ~1 s fixed cost — the micro-epoch fast-path idea applied to
-# maintenance, so `auto_compact_ratio` and targeted mutations stay cheap in
-# the steady-state CDC tail where a tick touches a few small chains.
-# 0 disables the fast path.
+# (identical files by construction) instead of on Ray tasks — the
+# micro-epoch fast-path idea applied to maintenance, so `auto_compact_ratio`
+# and targeted mutations stay cheap in the steady-state CDC tail where a
+# tick touches a few small chains. Table-derived artifact refreshes use the
+# same budget (state/artifacts.py). 0 disables the fast path.
 COMPACT_DRIVER_BYTES = 64 << 20
 
 
@@ -859,11 +874,13 @@ def _maintenance_epoch(
 ) -> dict | None:
     """One maintenance epoch (compaction, TTL expiry or mutation): run the
     per-partition rewrite worker over ``pids`` — driver-side below
-    COMPACT_DRIVER_BYTES of selected chain bytes, Ray actor pool above —
-    install the parts it wrote, and commit ``summarize(stats)`` as the
-    epoch's history entry (``None`` commits nothing). The worker class is
-    resolved from ``stages.merge`` at call time, so a wrapped
-    ``CompactWorker`` (tracing) sees every pass."""
+    COMPACT_DRIVER_BYTES of selected chain bytes; above, on at most
+    min(pool size of ``concurrency``, session CPUs, pids) Ray tasks, each
+    over a contiguous run of partitions balanced by chain bytes — install
+    the parts it wrote, and commit ``summarize(stats)`` as the epoch's
+    history entry (``None`` commits nothing). The worker class is resolved
+    from ``stages.merge`` at call time and passed to the tasks, so a
+    wrapped ``CompactWorker`` (tracing) sees every pass."""
     from ..stages import merge as merge_mod
 
     t0 = time.perf_counter()
@@ -878,33 +895,21 @@ def _maintenance_epoch(
         "skip_cols": man.skip_cols,
         "rewrite": rewrite,
     }
-    total = 0
-    for pid in pids:
-        for f in man.partitions[str(pid)].get("files") or []:
-            try:
-                total += os.path.getsize(os.path.join(table_dir, f))
-            except OSError:
-                pass
+    pids = [int(pid) for pid in pids]
+    sizes = [_chain_bytes(table_dir, man.partitions[str(pid)]) for pid in pids]
+    worker = merge_mod.CompactWorker
     if not pids:
         stats = []
-    elif total <= COMPACT_DRIVER_BYTES:
-        stats = merge_mod.CompactWorker(**worker_kwargs)(
-            pa.table({"pid": pa.array([int(p) for p in pids], pa.int64())})
-        ).to_pylist()
+    elif sum(sizes) <= COMPACT_DRIVER_BYTES:
+        stats = _compact(worker, worker_kwargs, pids)
     else:
-        items = [{"pid": int(pid)} for pid in pids]
-        stats = (
-            ray.data.from_items(items, override_num_blocks=len(items))
-            .map_batches(
-                merge_mod.CompactWorker,
-                fn_constructor_kwargs=worker_kwargs,
-                batch_format="pyarrow",
-                batch_size=None,
-                concurrency=concurrency,
-                num_cpus=1,
-            )
-            .take_all()
-        )
+        n = min(_pool_size(concurrency), _session_cpus(), len(pids))
+        kwargs = ray.put(worker_kwargs)
+        refs = [
+            _compact_task.remote(worker, kwargs, [pids[i] for i in run])
+            for run in _balanced_runs(sizes, n)
+        ]
+        stats = [row for rows in ray.get(refs) for row in rows]
     _install_parts(table_dir, man.partitions, [r for r in stats if r["new_file"]])
     entry = summarize(stats)
     if entry is None:
@@ -912,6 +917,26 @@ def _maintenance_epoch(
     entry = {"epoch": epoch, **entry, "wall_s": round(time.perf_counter() - t0, 4)}
     _commit(man, entry)
     return entry
+
+
+def _chain_bytes(table_dir: str, part: dict) -> int:
+    """On-disk bytes of one partition's file chain."""
+    total = 0
+    for f in part.get("files") or []:
+        try:
+            total += os.path.getsize(os.path.join(table_dir, f))
+        except OSError:
+            pass
+    return total
+
+
+def _compact(worker_cls, worker_kwargs: dict, pids: list[int]) -> list[dict]:
+    """One maintenance worker over ``pids``: its stats rows."""
+    batch = pa.table({"pid": pa.array(pids, pa.int64())})
+    return worker_cls(**worker_kwargs)(batch).to_pylist()
+
+
+_compact_task = ray.remote(_compact)
 
 
 def ttl_expire(
@@ -1339,17 +1364,24 @@ def repartition_table(
 
 
 @ray.remote
-def _read_partition(reader, pid: int) -> pa.Table:
-    return reader(pa.table({"pid": pa.array([pid], pa.int64())}))
+def _scan_task(reader, pids: list[int]) -> pa.Table:
+    return reader(pa.table({"pid": pa.array(pids, pa.int64())}))
 
 
-def _scan(reader, pids: list[int]) -> ray.data.Dataset:
-    """Run ``reader`` (a :func:`make_partition_reader` fn) as one Ray task
-    per partition, now, and wrap the tables as a Dataset."""
+def _scan(reader, man: Manifest, pids: list[int]) -> ray.data.Dataset:
+    """Run ``reader`` (a :func:`make_partition_reader` fn) now, on about one
+    Ray task per session CPU, and wrap the tasks' tables as a Dataset of one
+    block each. A task folds a contiguous run of whole partitions in pid
+    order, the runs balanced by the manifest's chain ``bytes``
+    (:func:`_balanced_runs`): a task per partition would pay more in task
+    and block overhead than its few ms of reading."""
+    pids = sorted(pids)
+    weights = [int(man.partitions[str(pid)].get("bytes", 0)) for pid in pids]
     reader = ray.put(reader)
-    return ray.data.from_arrow_refs(
-        [_read_partition.remote(reader, pid) for pid in sorted(pids)]
-    )
+    return ray.data.from_arrow_refs([
+        _scan_task.remote(reader, [pids[i] for i in run])
+        for run in _balanced_runs(weights, _session_cpus())
+    ])
 
 
 def read_snapshot(
@@ -1359,16 +1391,19 @@ def read_snapshot(
 ) -> ray.data.Dataset:
     """The committed table as a Ray Dataset, read at call time.
 
-    MERGE-on-read: one Ray task per partition reconstructs it from its file
-    chain (base snapshot + deltas → LWW → drop tombstones). Partition chains
-    are independent, so this is an embarrassingly parallel read — no
-    shuffle. After a compaction the chain is one clean file and the merge is
-    a no-op cast.
+    MERGE-on-read: each partition is reconstructed from its file chain
+    (base snapshot + deltas → LWW → drop tombstones). Partition chains are
+    independent, so this is an embarrassingly parallel read — no shuffle —
+    run on about one Ray task per session CPU, each folding a contiguous
+    run of whole partitions in pid order, balanced by chain bytes (see
+    :func:`_scan`). After a compaction the chain is one clean file and the
+    merge is a no-op cast.
 
-    The returned Dataset is materialized: its blocks are the tasks' tables,
-    so every consumer reads each partition once, and later commits or GC
-    cannot take files from under it. The cost is that the (projected)
-    snapshot is held in the object store while the Dataset lives.
+    The returned Dataset is materialized: its blocks are the tasks' tables
+    (whole partitions, ascending pid), so every consumer reads each
+    partition once, and later commits or GC cannot take files from under
+    it. The cost is that the (projected) snapshot is held in the object
+    store while the Dataset lives.
 
     ``columns`` pushes projection into the parquet reads (only the requested
     columns + the mode's merge keys leave storage — pass it whenever a
@@ -1395,7 +1430,7 @@ def read_snapshot(
         sum_cols=man.sum_cols,
         columns=columns,
     )
-    return _scan(reader, pids)
+    return _scan(reader, man, pids)
 
 
 def files_for_time_range(
@@ -1446,7 +1481,7 @@ def read_time_range(
         )
         return t.filter(mask)
 
-    return _scan(read_and_trim, [int(pid) for pid in chains])
+    return _scan(read_and_trim, man, [int(pid) for pid in chains])
 
 
 def snapshot_table(table_dir: str, epoch: int | None = None) -> pa.Table:

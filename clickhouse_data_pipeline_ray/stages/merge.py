@@ -617,20 +617,24 @@ def merge_needed_columns(
     return sub, list(sub.names)
 
 
-def _read_file_cols(path: str, want: list[str] | None) -> pa.Table:
-    """Read one part file, fetching only ``want`` columns that physically
-    exist in it (delta files carry ``op``; snapshots don't — a blind
-    ``columns=`` would error on the difference). ``op`` is always fetched
-    when present: the merge kernel needs tombstones regardless of the
-    user's projection."""
-    if want is None:
-        return pq.read_table(path)
-    pf = pq.ParquetFile(path)
-    names = set(pf.schema_arrow.names)
-    cols = [c for c in want if c in names]
-    if "op" in names:
-        cols.append("op")
-    return pf.read(columns=cols)
+def read_part(
+    path: str, columns: list[str] | None = None, row_groups=None
+) -> pa.Table:
+    """The one reader of Parquet table parts and WAL segments: the file, or
+    only its ``row_groups``, through ``ParquetFile`` on the calling thread.
+    ``pq.read_table`` goes through the dataset layer, about 1 ms per file,
+    and a scan task or a chain fold reads many small files; the read, scan
+    and maintenance tasks already run about one per CPU. ``columns`` keeps
+    the requested columns the file has: delta parts carry ``op`` and
+    snapshots do not, and a WAL segment from before a schema evolution
+    lacks the new columns (the caller null-fills them)."""
+    with pq.ParquetFile(path) as pf:
+        if columns is not None:
+            names = set(pf.schema_arrow.names)
+            columns = [c for c in columns if c in names]
+        if row_groups is None:
+            return pf.read(columns=columns, use_threads=False)
+        return pf.read_row_groups(row_groups, columns=columns, use_threads=False)
 
 
 def read_partition(
@@ -654,9 +658,10 @@ def read_partition(
         snapshot_schema, phys = merge_needed_columns(
             snapshot_schema, columns, mode
         )
-    tables = [
-        _read_file_cols(os.path.join(table_dir, f), phys) for f in files
-    ]
+    # ``op`` is always fetched where present: the merge kernel needs
+    # tombstones regardless of the projection
+    want = None if phys is None else phys + ["op"]
+    tables = [read_part(os.path.join(table_dir, f), want) for f in files]
     return fold_chain(tables, snapshot_schema, mode, sum_cols)
 
 
@@ -884,7 +889,7 @@ class MergeApply:
                 old_files + [rel], t0, ev_max, ev_late,
                 _zones_json(rel, rows, self.skip_cols),
             )
-        chain = [pq.read_table(os.path.join(self.table_dir, f)) for f in old_files]
+        chain = [read_part(os.path.join(self.table_dir, f)) for f in old_files]
         merged = fold_chain(
             chain + [rows], self.snapshot_schema, self.mode, self.sum_cols
         )

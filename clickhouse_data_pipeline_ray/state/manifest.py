@@ -335,7 +335,8 @@ def atomic_json_write(path: str, doc: dict, fsync_dir: bool = True) -> None:
     references the file)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
-        json.dump(doc, f, indent=1)
+        # compact json.dumps runs the C encoder; json.dump never does
+        f.write(json.dumps(doc, separators=(",", ":")))
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)

@@ -82,7 +82,8 @@ def put_json_if_absent(path: str, doc: dict) -> None:
     d, name = os.path.split(path)
     staging = os.path.join(d, f".staged.{name}.{unique_token()}")
     with open(staging, "w") as f:
-        json.dump(doc, f, indent=1)
+        # compact json.dumps runs the C encoder; json.dump never does
+        f.write(json.dumps(doc, separators=(",", ":")))
         f.flush()
         os.fsync(f.fileno())
     try:

@@ -211,13 +211,16 @@ def test_mutation_zones_stay_fresh(ray_session, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["upsert", "collapse"])
-def test_maintenance_on_actor_pool_matches_driver_side(
+def test_maintenance_on_tasks_matches_driver_side(
     ray_session, tmp_path, monkeypatch, mode
 ):
     """Compaction, TTL expiry and a mutation send the rewrite worker (and
-    its row rewrite) to a Ray actor pool above COMPACT_DRIVER_BYTES; the
-    pool must commit exactly what the driver-side run commits."""
+    its row rewrite) to plain Ray tasks above COMPACT_DRIVER_BYTES, with no
+    Ray Data execution; the tasks must commit exactly what the driver-side
+    run commits."""
     import datetime as dt
+
+    import ray
 
     from clickhouse_data_pipeline_ray.pipelines import apply as apply_mod
     from clickhouse_data_pipeline_ray.pipelines.apply import (
@@ -239,8 +242,13 @@ def test_maintenance_on_actor_pool_matches_driver_side(
         generate_fact_wal(wal, FactGenParams(
             total_events=1_500, events_per_segment=500, n_docs=200))
 
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a Ray Data execution in a maintenance pass")
+
     def run(name: str, driver_bytes: int) -> list:
         monkeypatch.setattr(apply_mod, "COMPACT_DRIVER_BYTES", driver_bytes)
+        if not driver_bytes:
+            monkeypatch.setattr(ray.data, "from_items", no_ray_data)
         table = str(tmp_path / name)
         create_table(table, num_partitions=4, schema=schema, mode=mode)
         replay(table, wal, ApplyConfig(max_segments=1), final_compact=False)
@@ -256,6 +264,6 @@ def test_maintenance_on_actor_pool_matches_driver_side(
             s.pop("wall_s")
         return steps + [snapshot_table(table)]
 
-    driver, pool = run("driver", 64 << 20), run("pool", 0)
-    assert driver[:-1] == pool[:-1]
-    assert driver[-1].equals(pool[-1])
+    driver, tasks = run("driver", 64 << 20), run("tasks", 0)
+    assert driver[:-1] == tasks[:-1]
+    assert driver[-1].equals(tasks[-1])

@@ -428,8 +428,9 @@ def test_empty_mv_state_typed_from_schema(ray_session, tmp_path):
 
 def test_tick_reads_are_column_pruned(ray_session, tmp_path, monkeypatch):
     """Refresh ticks must read ONLY (lsn, group keys, date_from, sum cols,
-    enrich-on) from the WAL — spied via pq.read_table's columns argument."""
-    import clickhouse_data_pipeline_ray.pipelines.mv as mv_mod
+    enrich-on) from the WAL — spied via the columns argument of the WAL
+    reader's ``read_part`` calls."""
+    import clickhouse_data_pipeline_ray.pipelines.apply as apply_mod
 
     table, wal = _make(tmp_path, n_events=800)
     register_mv(
@@ -439,16 +440,16 @@ def test_tick_reads_are_column_pruned(ray_session, tmp_path, monkeypatch):
     replay(table, wal, ApplyConfig(), final_compact=False)
 
     seen = []
-    real = mv_mod.pq.read_table
+    real = apply_mod.read_part
 
-    def spy(path, columns=None, **kw):
+    def spy(path, columns=None, *a, **kw):
         seen.append(columns)
-        return real(path, columns=columns, **kw)
+        return real(path, columns, *a, **kw)
 
-    monkeypatch.setattr(mv_mod.pq, "read_table", spy)
+    monkeypatch.setattr(apply_mod, "read_part", spy)
     refresh_mv(table, wal, "daily")
     tick_reads = [c for c in seen if c is not None]
-    assert tick_reads, "fast-path tick read never went through read_table"
+    assert tick_reads, "fast-path tick read never went through read_part"
     for cols in tick_reads:
         assert set(cols) == {"lsn", "event_ts", "event_type", "value"}
     # result still exact vs the oracle
@@ -467,7 +468,7 @@ def test_enrich_dim_read_never_decodes_tokens(ray_session, tmp_path, monkeypatch
     import pyarrow as pa
     import pyarrow.parquet as pq_mod
 
-    import clickhouse_data_pipeline_ray.pipelines.mv as mv_mod
+    import clickhouse_data_pipeline_ray.stages.merge as merge_mod
     from clickhouse_data_pipeline_ray.pipelines.apply import import_base
     from clickhouse_data_pipeline_ray.schemas import FACT_CHANGE_SCHEMA
     from clickhouse_data_pipeline_ray.sources.wal import segment_path
@@ -514,13 +515,13 @@ def test_enrich_dim_read_never_decodes_tokens(ray_session, tmp_path, monkeypatch
     replay(facts, wal, ApplyConfig(), final_compact=False)
 
     seen = []
-    real = mv_mod.pq.read_table
+    real = merge_mod.read_part
 
-    def spy(path, columns=None, **kw):
+    def spy(path, columns=None, *a, **kw):
         seen.append((str(path), columns))
-        return real(path, columns=columns, **kw)
+        return real(path, columns, *a, **kw)
 
-    monkeypatch.setattr(mv_mod.pq, "read_table", spy)
+    monkeypatch.setattr(merge_mod, "read_part", spy)
     refresh_mv(facts, wal, "bysrc")
     dim_reads = [c for p, c in seen if "dim" in p]
     assert dim_reads, "dim read did not go through the pruned reader"

@@ -2,12 +2,17 @@
 
 An epoch's read+normalize+route runs as about one task per session CPU (a
 segment splits when there are fewer segments than CPUs), each returning one
-table per merge dest; a scan runs one task per partition when it is called.
-Neither runs a Ray Data execution, a scan reads each partition once, and a
-scan's Dataset keeps its rows after later commits collect their files."""
+table per merge dest; a scan runs, when it is called, about one task per
+session CPU, each over a contiguous run of whole partitions balanced by
+chain bytes. Neither runs a Ray Data execution, a scan reads each partition
+once, a scan's Dataset keeps its rows after later commits collect their
+files, and no part or WAL read goes through ``pq.read_table``."""
 
+import datetime as dt
 import os
 import shutil
+
+import numpy as np
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -17,12 +22,20 @@ import clickhouse_data_pipeline_ray.pipelines.apply as apply_mod
 from clickhouse_data_pipeline_ray.pipelines.apply import (
     ApplyConfig,
     apply_once,
+    compact_table,
     create_table,
     read_snapshot,
+    read_time_range,
     replay,
     snapshot_table,
 )
-from clickhouse_data_pipeline_ray.sources.gen import GenParams, generate_wal
+from clickhouse_data_pipeline_ray.schemas import FACT_SNAPSHOT_SCHEMA
+from clickhouse_data_pipeline_ray.sources.gen import (
+    FactGenParams,
+    GenParams,
+    generate_fact_wal,
+    generate_wal,
+)
 from clickhouse_data_pipeline_ray.sources.wal import list_segments, segment_path
 from clickhouse_data_pipeline_ray.stages import merge as merge_mod
 from clickhouse_data_pipeline_ray.stages.partition import partition_of
@@ -58,6 +71,28 @@ def _count_calls(monkeypatch, module, factory: str, log: str) -> None:
         return fn
 
     monkeypatch.setattr(module, factory, counting)
+
+
+def _log_reader_pids(monkeypatch, log: str) -> None:
+    """Wrap every partition reader so that each call, in any process,
+    appends the pids it was asked for as one comma-separated line."""
+    make = merge_mod.make_partition_reader
+
+    def logging_reader(*args, **kwargs):
+        inner = make(*args, **kwargs)
+
+        def fn(batch):
+            with open(log, "a") as f:
+                f.write(",".join(map(str, batch.column("pid").to_pylist())) + "\n")
+            return inner(batch)
+
+        return fn
+
+    monkeypatch.setattr(merge_mod, "make_partition_reader", logging_reader)
+
+
+def _reader_calls(log: str) -> list[list[int]]:
+    return [[int(p) for p in line.split(",")] for line in _log_lines(log)]
 
 
 def _seg_table(rows: list[tuple]) -> pa.Table:
@@ -176,3 +211,143 @@ def test_snapshot_dataset_outlives_gc(ray_session, tmp_path):
         assert apply_once(table, wal, cfg) is not None
     got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
     assert_snapshots_equal(got, want)
+
+
+def _keyed_rows(counts: dict[int, int], num_partitions: int) -> list[tuple]:
+    """(lsn, op, doc_id) inserts: ``counts[pid]`` fresh keys of each pid."""
+    rows, i = [], 0
+    left = dict(counts)
+    while any(left.values()):
+        key = f"k{i}"
+        pid = partition_of(key, num_partitions)
+        if left.get(pid):
+            left[pid] -= 1
+            rows.append((len(rows) + 1, "c", key))
+        i += 1
+    return rows
+
+
+def _wide_seg_table(rows: list[tuple]) -> pa.Table:
+    """:func:`_seg_table` with 64 random token ids per row, so a
+    partition's chain bytes grow with its rows."""
+    t = _seg_table(rows)
+    rng = np.random.default_rng(7)
+    tokens = rng.integers(0, 50_000, (len(rows), 64), dtype=np.int32)
+    return t.set_column(
+        t.schema.get_field_index("tokens"), "tokens",
+        pa.array(list(tokens), pa.list_(pa.int32())),
+    )
+
+
+def test_scan_plans_one_task_per_cpu_by_chain_bytes(ray_session, tmp_path, monkeypatch):
+    """In a 4-CPU session a scan of 20 partitions, one of them about 10x
+    the others by chain bytes, runs at most 4 reader tasks; each block
+    holds whole partitions in ascending pid order and the rows equal the
+    driver's snapshot. A 2-partition table runs 2 tasks, and a time-range
+    scan still prunes months at the manifest and trims the boundary ones."""
+    assert int(ray.cluster_resources()["CPU"]) == 4
+    log = str(tmp_path / "reader.log")
+    _log_reader_pids(monkeypatch, log)
+
+    counts = {pid: 30 for pid in range(20)}
+    counts[7] = 300
+    wal = str(tmp_path / "wal")
+    os.makedirs(wal)
+    rows = _keyed_rows(counts, 20)
+    pq.write_table(_wide_seg_table(rows), segment_path(wal, 1, len(rows)))
+    table = str(tmp_path / "t")
+    create_table(table, num_partitions=20)
+    apply_once(table, wal, ApplyConfig())
+    man = apply_mod.load_manifest(table)
+    big = man.partitions["7"]["bytes"]
+    assert all(big > 6 * p["bytes"] for pid, p in man.partitions.items() if pid != "7")
+
+    ds = read_snapshot(table)
+    blocks = ray.get(ds.to_arrow_refs())
+    calls = _reader_calls(log)
+    assert 1 < len(calls) <= 4, calls
+    assert sorted(p for c in calls for p in c) == list(range(20))
+    block_pids = [
+        [partition_of(k, 20) for k in b.column("doc_id").to_pylist()] for b in blocks
+    ]
+    assert [sorted(set(p)) for p in block_pids] == sorted(calls)
+    for pids in block_pids:
+        assert pids == sorted(pids)
+    assert_snapshots_equal(pa.concat_tables(blocks), snapshot_table(table))
+
+    os.remove(log)
+    two_wal, two = str(tmp_path / "wal2"), str(tmp_path / "t2")
+    os.makedirs(two_wal)
+    rows = _keyed_rows({0: 5, 1: 5}, 2)
+    pq.write_table(_seg_table(rows), segment_path(two_wal, 1, len(rows)))
+    create_table(two, num_partitions=2)
+    apply_once(two, two_wal, ApplyConfig())
+    got = pa.concat_tables(ray.get(read_snapshot(two).to_arrow_refs()))
+    assert sorted(_reader_calls(log)) == [[0], [1]]
+    assert_snapshots_equal(got, snapshot_table(two))
+
+    os.remove(log)
+    fact_wal, facts = str(tmp_path / "fact_wal"), str(tmp_path / "facts")
+    generate_fact_wal(fact_wal, FactGenParams(total_events=4_000, events_per_segment=1_000))
+    create_table(
+        facts, schema=FACT_SNAPSHOT_SCHEMA, mode="append", key_col="event_id",
+        partition_spec={"kind": "time", "col": "event_ts", "granularity": "month"},
+    )
+    apply_once(facts, fact_wal, ApplyConfig())
+    assert len(apply_mod.load_manifest(facts).partitions) > 2
+    start, end = dt.datetime(2024, 1, 20), dt.datetime(2024, 2, 10)
+    got = pa.concat_tables(ray.get(read_time_range(facts, start, end).to_arrow_refs()))
+    assert sorted(p for c in _reader_calls(log) for p in c) == [202401, 202402]
+    want = snapshot_table(facts)
+    ts = want.column("event_ts")
+    want = want.filter(pa.compute.and_(
+        pa.compute.greater_equal(ts, pa.scalar(start, ts.type)),
+        pa.compute.less(ts, pa.scalar(end, ts.type)),
+    ))
+    assert 0 < got.num_rows < snapshot_table(facts).num_rows
+    assert sorted(got.column("lsn").to_pylist()) == want.column("lsn").to_pylist()
+
+
+class _ScanHere:
+    """Stands in for ``apply._scan_task``: runs the scan reader in this
+    process, where a monkeypatch can see its reads."""
+
+    @staticmethod
+    def remote(reader, pids):
+        table = ray.get(reader)(pa.table({"pid": pa.array(pids, pa.int64())}))
+        return ray.put(table)
+
+
+def test_part_and_wal_reads_skip_the_dataset_layer(ray_session, tmp_path, monkeypatch):
+    """No part or WAL read made by ``apply_once`` (whole segments, row
+    ranges of a split segment, threshold folds), ``compact_table`` or a
+    ``read_snapshot`` scan calls ``pq.read_table``. Ray tasks run in other
+    processes, so the epochs and the compaction take their driver-side
+    paths and the scan tasks run here; each runs the same reader code."""
+    wal = str(tmp_path / "wal")
+    generate_wal(wal, PARAMS)
+    table = str(tmp_path / "t")
+    create_table(table, num_partitions=4)
+
+    def no_read_table(*args, **kwargs):
+        raise AssertionError("pq.read_table on a part or WAL read")
+
+    monkeypatch.setattr(pq, "read_table", no_read_table)
+    monkeypatch.setattr(apply_mod, "_scan_task", _ScanHere)
+    cfg = ApplyConfig(max_segments=2, compact_threshold=3)
+    stats = []
+    while (s := apply_once(table, wal, cfg)) is not None:
+        stats.append(s)
+    assert len(stats) >= 6
+    assert compact_table(table) is not None
+
+    seg = list_segments(wal)[0]
+    pieces = apply_mod._plan_reads([seg], 4)
+    assert len(pieces) > 1 and all(rows for [(_, rows)] in pieces)
+    split = apply_mod._read_pieces([p for [p] in pieces], lambda t: t)
+    whole = apply_mod._read_pieces([(seg.path, None)], lambda t: t)
+    assert split.equals(whole)
+
+    rows = pa.concat_tables(ray.get(read_snapshot(table).to_arrow_refs()))
+    monkeypatch.undo()
+    assert_snapshots_equal(rows, replay_oracle(wal))

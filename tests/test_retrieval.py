@@ -161,9 +161,9 @@ def test_index_rebuild_crash_refuses_to_answer(ray_session, tmp_path, monkeypatc
     index that raises on read, not the old meta over the new postings
     (which answered most queries with an empty top-k); a clean rebuild
     restores the answers."""
-    import json
     import os
 
+    import clickhouse_data_pipeline_ray.functions.retrieval as retrieval_mod
     from clickhouse_data_pipeline_ray.functions.retrieval import (
         bm25_index_topk,
         build_text_index,
@@ -174,14 +174,14 @@ def test_index_rebuild_crash_refuses_to_answer(ray_session, tmp_path, monkeypatc
     queries = ["merge", "customer", "join", "window", "stream", "filter", "sort"]
     want = [bm25_index_topk(idx, q, k=5).to_pylist() for q in queries]
     assert all(want)
-    real_dump = json.dump
+    real_write = retrieval_mod.atomic_json_write
 
-    def dump(obj, fp, *a, **kw):
-        if os.path.basename(getattr(fp, "name", "")).startswith("meta.json"):
+    def write(path, doc, *a, **kw):
+        if os.path.basename(path) == "meta.json":
             raise OSError("injected meta write failure")
-        return real_dump(obj, fp, *a, **kw)
+        return real_write(path, doc, *a, **kw)
 
-    monkeypatch.setattr(json, "dump", dump)
+    monkeypatch.setattr(retrieval_mod, "atomic_json_write", write)
     with pytest.raises(OSError, match="injected"):
         build_text_index(_read_docs(ray_session), idx, num_buckets=4)
     monkeypatch.undo()
