@@ -21,7 +21,8 @@ package from the driver's working directory.
     python <this file> compare OUT_A OUT_B
 
 ``--ray-venue`` sets the maintenance budget to 0 bytes, so a checkout
-with the shared refresh derives every partial as a Ray Data map.
+with the shared refresh derives every partial on Ray workers (the
+partition runner's tasks).
 """
 
 from __future__ import annotations

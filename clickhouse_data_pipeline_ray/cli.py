@@ -184,7 +184,7 @@ def _gen(args) -> int:
 
 
 def _apply(args) -> int:
-    from .pipelines.apply import ApplyConfig, apply_once
+    from .pipelines.apply import ApplyConfig, _until_committed, apply_once
 
     cfg = ApplyConfig(
         max_segments=args.epoch_segments,
@@ -193,16 +193,18 @@ def _apply(args) -> int:
         compact_threshold=args.compact_threshold,
         allowed_lateness_s=args.allowed_lateness,
         dlq_dir=args.dlq,
-        auto_compact_ratio=args.auto_compact,
     )
     while True:
-        stats = apply_once(args.table, args.wal, cfg)
+        # a put lost to another writer re-runs from the new head, as in replay
+        stats = _until_committed(apply_once, args.table, args.wal, cfg)
         if stats:
             print(json.dumps(stats))
             if args.auto_compact is not None:
                 from .pipelines.apply import compact_table
 
-                cstats = compact_table(args.table, size_ratio=args.auto_compact)
+                cstats = _until_committed(
+                    compact_table, args.table, size_ratio=args.auto_compact
+                )
                 if cstats:
                     print(json.dumps(cstats))
             if args.refresh_mvs:

@@ -659,15 +659,18 @@ def score_table_snapshot(
     columns: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Apply a per-batch scorer to a committed table's merged snapshot: one
-    MERGE-on-read pass over pid descriptors with the scorer applied in the
-    same actor — no shuffle, no driver materialization. ``make_scorer`` is
-    a zero-arg factory evaluated once per ACTOR (broadcast fetch / pattern
-    compile happens there, never per batch). ``columns`` prunes the
+    MERGE-on-read pass at call time on the partition runner
+    (``pipelines.apply._scan``, at most the pool size of ``concurrency``
+    tasks) with the scorer applied in the same task — no shuffle, no driver
+    materialization. ``make_scorer`` is a zero-arg factory evaluated once
+    per TASK (broadcast fetch / pattern compile happens there, never per
+    partition). ``columns`` prunes the
     partition reads (None = full rows — scorers emit the snapshot columns
     plus their score columns, so pruning changes the output schema; opt in
     when the caller only consumes a subset). Collapse tables are read
     FINALIZED: scorers see alive winner rows only, never the partial
     adjustment encoding."""
+    from ..pipelines.apply import _pool_size, _scan_dataset
     from ..stages.merge import read_partition_final
     from ..state.manifest import load_manifest
 
@@ -678,32 +681,23 @@ def score_table_snapshot(
     schema, mode = man.schema, man.mode
     sum_cols = man.sum_cols
 
-    class _ScorePid:
-        def __init__(self):
-            self.scorer = make_scorer()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out = []
-            for pid in batch.column("pid").to_pylist():
-                files = files_by_pid.get(str(pid)) or []
-                snap = (
-                    read_partition_final(
-                        table_dir, files, schema, mode, sum_cols, columns
-                    )
-                    if files
-                    else schema.empty_table()
+    def score_pids(pids: list[int]) -> pa.Table:
+        scorer = make_scorer()
+        out = []
+        for pid in pids:
+            files = files_by_pid[str(pid)]
+            snap = (
+                read_partition_final(
+                    table_dir, files, schema, mode, sum_cols, columns
                 )
-                out.append(self.scorer(snap))
-            return pa.concat_tables(out)
+                if files
+                else schema.empty_table()
+            )
+            out.append(scorer(snap))
+        return pa.concat_tables(out)
 
-    items = [{"pid": int(p)} for p in sorted(man.partitions, key=int)]
-    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        _ScorePid,
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    pids = [int(p) for p in man.partitions]
+    return _scan_dataset(score_pids, man, pids, cap=_pool_size(concurrency))
 
 
 def classify_table(
@@ -714,7 +708,7 @@ def classify_table(
     concurrency: int | tuple = (1, 8),
 ) -> ray.data.Dataset:
     """Score a committed table's merged snapshot with the broadcast NB
-    scorer (one ``ray.put``, fetched once per actor)."""
+    scorer (one ``ray.put``, fetched once per task)."""
     if positive is not None and positive not in model.classes:
         raise ValueError(f"positive class {positive!r} not in {model.classes}")
     ref = ray.put(model.payload())

@@ -412,7 +412,7 @@ def score_lm_table(
     concurrency: int | tuple = (1, 8),
 ) -> ray.data.Dataset:
     """Perplexity-score a committed table's merged snapshot (one
-    MERGE-on-read pass, broadcast counts fetched once per actor)."""
+    MERGE-on-read pass, broadcast counts fetched once per task)."""
     ref = ray.put(model.payload())
     return score_table_snapshot(
         table_dir,

@@ -32,9 +32,13 @@ data — only O(P) stats rows from the merge actors.
 Each epoch appends O(changes) per-partition delta files and folds a
 partition's chain into one snapshot when it reaches ``compact_threshold`` —
 the MERGE-on-read scale path; ``compact_threshold=1`` folds touched
-partitions every epoch (MERGE-on-write). Scans (:func:`read_snapshot`,
-:func:`read_time_range`) are plain Ray tasks too, about one per CPU over
-runs of whole partitions, run at call time.
+partitions every epoch (MERGE-on-write). Every per-partition table job
+runs on one partition runner (:func:`_scan`: about one plain Ray task per
+CPU over byte-balanced runs of whole partitions, at call time): the scans
+here and in ``scan``/``diff``, maintenance above ``COMPACT_DRIVER_BYTES``,
+artifact refreshes, snapshot scoring and the read side of a repartition.
+An import or a repartition is an epoch with another source, merged on the
+same pool, so the table engine runs no Ray Data execution.
 """
 
 from __future__ import annotations
@@ -273,14 +277,24 @@ def _split_segment(seg: Segment, parts: int) -> list[tuple | None]:
 
 
 @ray.remote
-def _read_task(pieces: list[tuple], fn, split, columns: list[str] | None):
-    """One read task: :func:`_read_pieces`, then ``split`` (if given) cuts
-    the result into one table per merge dest, each its own return value."""
-    out = _read_pieces(pieces, fn, columns)
+def _task(fn, items: list, split):
+    """The one Ray task of the engine: ``fn(items)``, then ``split`` (if
+    given) cuts the result into one table per merge dest, each its own
+    return value."""
+    out = fn(items)
     if split is None:
         return out
     tables = split(out)
     return tables[0] if len(tables) == 1 else tuple(tables)
+
+
+def _run_tasks(fn, plan: list[list], split=None, num_returns: int = 1) -> list[list]:
+    """Run ``fn`` over each item list of ``plan`` on its own :func:`_task`.
+    Returns each task's ``num_returns`` object refs."""
+    task = _task.options(num_returns=num_returns)
+    fn = ray.put(fn)
+    refs = [task.remote(fn, items, split) for items in plan]
+    return [r if isinstance(r, list) else [r] for r in refs]
 
 
 def _read_on_tasks(
@@ -290,10 +304,8 @@ def _read_on_tasks(
     """Run :func:`_read_pieces` over ``segs`` as plain Ray tasks, about one
     per session CPU (see :func:`_plan_reads`). Returns each task's
     ``num_returns`` object refs."""
-    task = _read_task.options(num_returns=num_returns)
-    plan = _plan_reads(segs, _session_cpus())
-    refs = [task.remote(p, fn, split, columns) for p in plan]
-    return [r if isinstance(r, list) else [r] for r in refs]
+    read = functools.partial(_read_pieces, fn=fn, columns=columns)
+    return _run_tasks(read, _plan_reads(segs, _session_cpus()), split, num_returns)
 
 
 def _worker_partitions(partitions: dict[str, dict]) -> dict[str, dict]:
@@ -409,7 +421,7 @@ def _pool_size(concurrency: int | tuple) -> int:
     if isinstance(concurrency, int):
         return max(1, concurrency)
     lo, hi = concurrency
-    return max(lo, min(hi, int(ray.cluster_resources().get("CPU", 1))))
+    return max(lo, min(hi, _session_cpus()))
 
 
 def _merge_pool(n: int, fresh: bool = False) -> list:
@@ -427,18 +439,38 @@ def _merge_pool(n: int, fresh: bool = False) -> list:
 
 
 def _merge_on_pool(
-    by_dest: list[list], pool: list, hot_pids: list[int], salt_factor: int, spec,
-    mode, sum_cols,
+    parts: list[list], pool: list, spec, hot_pids: list[int] = (),
+    salt_factor: int = 1, mode: str = "", sum_cols=(),
 ) -> list[dict]:
-    """Run one epoch's merge on ``pool``; ``by_dest[d]`` holds every read
-    task's table for dest ``d``. Every hot (pid, salt) dest is reduced
-    first, round-robin over the actors, and its partial feeds the merge call
-    of the actor that owns the pid. Reduce calls are submitted before any
-    merge call and an actor runs calls in submission order, so every call
-    waits only on calls submitted before it: no deadlock, also when several
+    """Run one epoch's merge on ``pool``: ``parts[t][d]`` is read task
+    ``t``'s table for dest ``d`` (see :func:`_router`), and ``spec`` is the
+    ``(merge class, kwargs)`` each merge call applies through
+    :func:`merge_by_pid`. When an actor dies (killed between epochs or
+    mid-call), the merge runs again on a fresh pool: what the dead one
+    wrote is unreferenced, and the commit's GC removes it."""
+    n_dests = len(pool) + len(hot_pids) * salt_factor
+    by_dest = [[task[d] for task in parts] for d in range(n_dests)]
+    merge = functools.partial(
+        _merge_calls, by_dest, spec=ray.put(spec), hot_pids=hot_pids,
+        salt_factor=salt_factor, mode=mode, sum_cols=sum_cols,
+    )
+    try:
+        return merge(pool)
+    except ray.exceptions.RayActorError:
+        return merge(_merge_pool(len(pool), fresh=True))
+
+
+def _merge_calls(
+    by_dest: list[list], pool: list, spec, hot_pids, salt_factor, mode, sum_cols,
+) -> list[dict]:
+    """The actor calls of one merge; ``by_dest[d]`` holds every read task's
+    table for dest ``d``. Every hot (pid, salt) dest is reduced first,
+    round-robin over the actors, and its partial feeds the merge call of the
+    actor that owns the pid. Reduce calls are submitted before any merge
+    call and an actor runs calls in submission order, so every call waits
+    only on calls submitted before it: no deadlock, also when several
     threads' epochs share the pool."""
     n = len(pool)
-    spec = ray.put(spec)
     partials: list[list] = [[] for _ in range(n)]
     for i, pid in enumerate(hot_pids):
         for salt in range(salt_factor):
@@ -627,31 +659,22 @@ def apply_once(table_dir: str, wal_dir: str, cfg: ApplyConfig | None = None) -> 
         if not is_append:
             hot_pids = _detect_hot_pids(man, cfg)
         pool = _merge_pool(_pool_size(cfg.merge_concurrency))
-        n_dests = len(pool) + len(hot_pids) * cfg.salt_factor
         parts = _read_on_tasks(
             segs, normalize, split=_router(len(pool), hot_pids, cfg.salt_factor),
-            num_returns=n_dests,
+            num_returns=len(pool) + len(hot_pids) * cfg.salt_factor,
         )
         # every merge call needs its dest from every task: wait for the
         # reads (without fetching them here) to time the phases apart
         refs = [r for task in parts for r in task]
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        by_dest = [[task[d] for task in parts] for d in range(n_dests)]
         t_merge = time.perf_counter()
         # the class is resolved here, at call time, and shipped with each
         # epoch, so a swapped-in MergeApply (tracing) reaches the actors
-        merge = functools.partial(
-            _merge_on_pool, by_dest, hot_pids=hot_pids,
-            salt_factor=cfg.salt_factor, spec=(MergeApply, merge_kwargs),
-            mode=man.mode, sum_cols=man.sum_cols,
+        stats = _merge_on_pool(
+            parts, pool, (MergeApply, merge_kwargs), hot_pids, cfg.salt_factor,
+            man.mode, man.sum_cols,
         )
-        try:
-            stats = merge(pool)
-        except ray.exceptions.RayActorError:
-            # an actor died (killed between epochs or mid-call): what it
-            # wrote is unreferenced and the commit's GC removes it
-            stats = merge(_merge_pool(len(pool), fresh=True))
-        del parts, refs, by_dest  # the epoch's tables leave the object store
+        del parts, refs  # the epoch's tables leave the object store
     stats.sort(key=lambda row: row["pid"])  # actors answer in any order
 
     # ---- commit point: part dirs durable, then the manifest put ----
@@ -799,7 +822,11 @@ def compact_plan(
     chain with NO base snapshot yet compacts once its delta count exceeds 1
     (there is nothing cheap to merge against). Planning is metadata-only:
     file sizes come from stat/LIST, no parquet is opened."""
-    man = load_manifest(table_dir)
+    return _compact_pick(table_dir, load_manifest(table_dir), size_ratio)
+
+
+def _compact_pick(table_dir: str, man: Manifest, size_ratio: float | None) -> dict:
+    """:func:`compact_plan` over the manifest ``man``."""
     chosen: list[int] = []
     accounting: dict[str, dict] = {}
     for pid in _dirty_pids(man):
@@ -841,7 +868,9 @@ def compact_table(
     protocol as an apply epoch: all part writes land, then one manifest put.
     Returns stats, or None when nothing qualifies."""
     man = load_manifest(table_dir)
-    dirty = compact_plan(table_dir, size_ratio)["pids"]
+    # planned from the manifest the pass rewrites: a commit after it loads
+    # fails this pass's put instead of handing it unknown partitions
+    dirty = _compact_pick(table_dir, man, size_ratio)["pids"]
     if not dirty:
         return None
     return _maintenance_epoch(
@@ -874,13 +903,12 @@ def _maintenance_epoch(
 ) -> dict | None:
     """One maintenance epoch (compaction, TTL expiry or mutation): run the
     per-partition rewrite worker over ``pids`` — driver-side below
-    COMPACT_DRIVER_BYTES of selected chain bytes; above, on at most
-    min(pool size of ``concurrency``, session CPUs, pids) Ray tasks, each
-    over a contiguous run of partitions balanced by chain bytes — install
-    the parts it wrote, and commit ``summarize(stats)`` as the epoch's
-    history entry (``None`` commits nothing). The worker class is resolved
-    from ``stages.merge`` at call time and passed to the tasks, so a
-    wrapped ``CompactWorker`` (tracing) sees every pass."""
+    COMPACT_DRIVER_BYTES of selected chain bytes; above, on the partition
+    runner (:func:`_scan`) capped at the pool size of ``concurrency`` —
+    install the parts it wrote, and commit ``summarize(stats)`` as the
+    epoch's history entry (``None`` commits nothing). The worker class is
+    resolved from ``stages.merge`` at call time and passed to the tasks, so
+    a wrapped ``CompactWorker`` (tracing) sees every pass."""
     from ..stages import merge as merge_mod
 
     t0 = time.perf_counter()
@@ -896,20 +924,15 @@ def _maintenance_epoch(
         "rewrite": rewrite,
     }
     pids = [int(pid) for pid in pids]
-    sizes = [_chain_bytes(table_dir, man.partitions[str(pid)]) for pid in pids]
-    worker = merge_mod.CompactWorker
+    chain_bytes = sum(int(man.partitions[str(pid)].get("bytes", 0)) for pid in pids)
+    worker = merge_mod.CompactWorker(**worker_kwargs)
     if not pids:
         stats = []
-    elif sum(sizes) <= COMPACT_DRIVER_BYTES:
-        stats = _compact(worker, worker_kwargs, pids)
+    elif chain_bytes <= COMPACT_DRIVER_BYTES:
+        stats = worker(pids).to_pylist()
     else:
-        n = min(_pool_size(concurrency), _session_cpus(), len(pids))
-        kwargs = ray.put(worker_kwargs)
-        refs = [
-            _compact_task.remote(worker, kwargs, [pids[i] for i in run])
-            for run in _balanced_runs(sizes, n)
-        ]
-        stats = [row for rows in ray.get(refs) for row in rows]
+        refs = _scan(worker, man, pids, cap=_pool_size(concurrency))
+        stats = [row for t in ray.get([r for r, in refs]) for row in t.to_pylist()]
     _install_parts(table_dir, man.partitions, [r for r in stats if r["new_file"]])
     entry = summarize(stats)
     if entry is None:
@@ -917,26 +940,6 @@ def _maintenance_epoch(
     entry = {"epoch": epoch, **entry, "wall_s": round(time.perf_counter() - t0, 4)}
     _commit(man, entry)
     return entry
-
-
-def _chain_bytes(table_dir: str, part: dict) -> int:
-    """On-disk bytes of one partition's file chain."""
-    total = 0
-    for f in part.get("files") or []:
-        try:
-            total += os.path.getsize(os.path.join(table_dir, f))
-        except OSError:
-            pass
-    return total
-
-
-def _compact(worker_cls, worker_kwargs: dict, pids: list[int]) -> list[dict]:
-    """One maintenance worker over ``pids``: its stats rows."""
-    batch = pa.table({"pid": pa.array(pids, pa.int64())})
-    return worker_cls(**worker_kwargs)(batch).to_pylist()
-
-
-_compact_task = ray.remote(_compact)
 
 
 def ttl_expire(
@@ -1096,7 +1099,7 @@ def mutate_table(
     Returns the history entry, or None when no row matched (no epoch is
     committed — a no-op mutation leaves no trace to replay or time-travel).
     """
-    from .scan import scan_plan
+    from .scan import _plan
 
     if delete == bool(set_cols):
         raise ValueError("mutation needs exactly one of delete=True or set_cols")
@@ -1124,9 +1127,10 @@ def mutate_table(
                 f"set column {name!r} is the key/version — immutable "
                 "(mutations rewrite payloads, not identities)"
             )
-    # zone pruning (correct-by-construction: scan_plan falls back to
-    # all partitions when zones are missing or unsound for this column)
-    plan = scan_plan(table_dir, col, lo, hi)
+    # zone pruning (correct-by-construction: the plan falls back to all
+    # partitions when zones are missing or unsound for this column), over
+    # the manifest the pass rewrites
+    plan = _plan(man, {col: (lo, hi)})
     candidates = sorted(plan["partitions"], key=int)
     if not candidates:
         return None
@@ -1206,9 +1210,12 @@ def import_base(
     inserts). Rows get lsn=0, so ANY subsequent WAL event on the same key
     wins LWW — the imported corpus is strictly "before" the log.
 
-    One Dataset job: read → conform to the snapshot schema (key column
-    renamed/cast, n_tok recomputed when absent) → hash-partition → shuffle →
-    per-partition clean snapshots → atomic commit.
+    An apply epoch whose source is the corpus (a file or a directory):
+    read tasks over runs of its files conform the rows to the snapshot
+    schema (key column renamed/cast, n_tok recomputed when absent) and
+    route them by hash pid to the merge pool, which writes each partition
+    as one clean snapshot → atomic commit. A duplicate key raises
+    ``ValueError`` before the commit.
     """
     cfg = cfg or ApplyConfig()
     man = load_manifest(table_dir)
@@ -1226,7 +1233,7 @@ def import_base(
     schema = man.schema
     num_partitions = man.num_partitions
 
-    from ..stages.merge import SnapshotWriter
+    from ..schemas import cast_table
     from ..stages.partition import assign_partitions
 
     def conform(b: pa.Table) -> pa.Table:
@@ -1245,42 +1252,24 @@ def import_base(
             )
         if "lsn" not in b.column_names:
             b = b.append_column("lsn", pa.nulls(b.num_rows, pa.int64()).fill_null(0))
-        from ..schemas import cast_table
-
         b = cast_table(b, schema)
         return assign_partitions(b, num_partitions, salt_factor=1)
 
-    rows = ray.data.read_parquet(parquet_path).map_batches(
-        conform, batch_format="pyarrow", zero_copy_batch=True
+    files = _corpus_files(parquet_path)
+    sizes = [pq.read_metadata(f).num_rows for f in files]
+    plan = [
+        [(files[i], None) for i in run]
+        for run in _balanced_runs(sizes, _session_cpus())
+    ]
+    # imports carry no LSN order to tie-break duplicates, so a non-unique
+    # corpus must fail loudly instead of landing as a snapshot with
+    # repeated keys (LWW only fixes it after the first WAL merge happens to
+    # touch the partition)
+    read = functools.partial(_read_pieces, fn=conform)
+    stats = _write_snapshots(
+        table_dir, man, epoch, cfg, functools.partial(_run_tasks, read, plan),
+        check_unique=True,
     )
-    stats = (
-        rows.groupby("pid")
-        .map_groups(
-            SnapshotWriter,
-            fn_constructor_kwargs={
-                "table_dir": table_dir,
-                "epoch": epoch,
-                "snapshot_schema_b64": man.schema_b64,
-                # imports carry no LSN order to tie-break duplicates, so a
-                # non-unique corpus must fail loudly instead of landing as
-                # a snapshot with repeated keys (LWW only fixes it after
-                # the first WAL merge happens to touch the partition)
-                "check_unique": True,
-                "skip_cols": man.skip_cols,
-            },
-            batch_format="pyarrow",
-            concurrency=cfg.merge_concurrency,
-            num_cpus=1,
-        )
-        .take_all()
-    )
-    dups = [d for row in stats for d in json.loads(row.get("dups_json") or "[]")]
-    if dups:
-        # raise BEFORE the commit: the parts stay unreferenced and are GC'd
-        raise ValueError(
-            f"import: duplicate key(s) in corpus (e.g. {dups[:5]}); "
-            f"deduplicate before import"
-        )
     _install_parts(table_dir, man.partitions, stats)
     out = {
         "imported": True,
@@ -1290,6 +1279,42 @@ def import_base(
     }
     _commit(man, out)
     return out
+
+
+def _corpus_files(path: str) -> list[str]:
+    """The Parquet files of an import corpus: ``path`` itself, or every
+    file under the directory ``path`` whose name starts with neither ``.``
+    nor ``_`` (marker and hidden files), in path order."""
+    if not os.path.isdir(path):
+        return [path]
+    out = []
+    for root, dirs, names in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        out += [os.path.join(root, n) for n in names if not n.startswith((".", "_"))]
+    return sorted(out)
+
+
+def _write_snapshots(
+    table_dir: str, man: Manifest, epoch: int, cfg: ApplyConfig, start,
+    check_unique: bool = False,
+) -> list[dict]:
+    """The merge half of an import or repartition epoch: ``start(split=,
+    num_returns=)`` starts the read tasks, which route pid-assigned
+    snapshot rows with ``split``; the session merge pool writes each
+    partition's rows as one clean snapshot (``SnapshotWriter``). Returns
+    the stats rows, by pid."""
+    from ..stages.merge import SnapshotWriter
+
+    pool = _merge_pool(_pool_size(cfg.merge_concurrency))
+    parts = start(split=_router(len(pool), [], 1), num_returns=len(pool))
+    spec = (SnapshotWriter, {
+        "table_dir": table_dir,
+        "epoch": epoch,
+        "snapshot_schema_b64": man.schema_b64,
+        "check_unique": check_unique,
+        "skip_cols": man.skip_cols,
+    })
+    return sorted(_merge_on_pool(parts, pool, spec), key=lambda row: row["pid"])
 
 
 def repartition_table(
@@ -1302,10 +1327,12 @@ def repartition_table(
     ``pid = H(doc_id) % P`` must stay stable between epochs, so changing it
     is an explicit whole-table job, not a config flip).
 
-    One Dataset job: merge-on-read each old partition → re-assign pids under
-    the new P → shuffle → write clean snapshots into a fresh layout → same
-    commit protocol (write-once parts, one manifest put). Watermarks carry
-    over (min across old partitions — they are equal after any commit).
+    An apply epoch whose source is the table: the partition runner
+    (:func:`_scan`) merges-on-read the old partitions, re-assigns pids
+    under the new P and routes the rows to the merge pool, which writes
+    clean snapshots into a fresh layout → same commit protocol (write-once
+    parts, one manifest put). Watermarks carry over (min across old
+    partitions — they are equal after any commit).
     """
     cfg = cfg or ApplyConfig()
     man = load_manifest(table_dir)
@@ -1317,36 +1344,26 @@ def repartition_table(
     epoch = man.epoch + 1
     watermark = man.watermark
 
-    from ..stages.merge import SnapshotWriter
+    from ..stages.merge import make_partition_reader
     from ..stages.partition import assign_partitions
 
-    snap = read_snapshot(table_dir)
-    reassigned = snap.map_batches(
-        lambda b: assign_partitions(b, new_num_partitions, salt_factor=1),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    chains = {pid: p["files"] for pid, p in man.partitions.items() if p.get("files")}
+    reader = make_partition_reader(
+        table_dir, man.schema_b64, chains, mode=man.mode, sum_cols=man.sum_cols
+    )
+
+    def reassign(pids: list[int]) -> pa.Table:
+        return assign_partitions(reader(pids), new_num_partitions, salt_factor=1)
+
+    old_pids = [int(pid) for pid in chains]
+    stats = _write_snapshots(
+        table_dir, man, epoch, cfg, functools.partial(_scan, reassign, man, old_pids)
     )
     new_parts = {
         str(pid): {"watermark_lsn": watermark, "rows": 0, "bytes": 0,
                    "files": [], "lineage": [], "exact_rows": True}
         for pid in range(new_num_partitions)
     }
-    stats = (
-        reassigned.groupby("pid")
-        .map_groups(
-            SnapshotWriter,
-            fn_constructor_kwargs={
-                "table_dir": table_dir,
-                "epoch": epoch,
-                "snapshot_schema_b64": man.schema_b64,
-                "skip_cols": man.skip_cols,
-            },
-            batch_format="pyarrow",
-            concurrency=cfg.merge_concurrency,
-            num_cpus=1,
-        )
-        .take_all()
-    )
     _install_parts(table_dir, new_parts, stats)
     man.num_partitions = new_num_partitions
     man.partition_spec = {"kind": "hash", "num": new_num_partitions}
@@ -1363,25 +1380,31 @@ def repartition_table(
     return out
 
 
-@ray.remote
-def _scan_task(reader, pids: list[int]) -> pa.Table:
-    return reader(pa.table({"pid": pa.array(pids, pa.int64())}))
-
-
-def _scan(reader, man: Manifest, pids: list[int]) -> ray.data.Dataset:
-    """Run ``reader`` (a :func:`make_partition_reader` fn) now, on about one
-    Ray task per session CPU, and wrap the tasks' tables as a Dataset of one
-    block each. A task folds a contiguous run of whole partitions in pid
-    order, the runs balanced by the manifest's chain ``bytes``
-    (:func:`_balanced_runs`): a task per partition would pay more in task
-    and block overhead than its few ms of reading."""
+def _scan(
+    fn, man: Manifest, pids: list[int], cap: int | None = None, split=None,
+    num_returns: int = 1,
+) -> list[list]:
+    """The engine's partition runner: run ``fn(run of pids)`` now, on about
+    one Ray task per session CPU (at most ``cap``). A task gets a contiguous
+    run of whole partitions in ascending pid order, the runs balanced by the
+    manifest's chain ``bytes`` (:func:`_balanced_runs`): a task per
+    partition would pay more in task and block overhead than its few ms of
+    reading. ``split`` routes each task's table to merge dests, as on a read
+    task. Returns each task's ``num_returns`` object refs."""
     pids = sorted(pids)
-    weights = [int(man.partitions[str(pid)].get("bytes", 0)) for pid in pids]
-    reader = ray.put(reader)
-    return ray.data.from_arrow_refs([
-        _scan_task.remote(reader, [pids[i] for i in run])
-        for run in _balanced_runs(weights, _session_cpus())
-    ])
+    weights = [int((man.partitions.get(str(pid)) or {}).get("bytes", 0)) for pid in pids]
+    n = min(cap or len(pids), _session_cpus())
+    plan = [[pids[i] for i in run] for run in _balanced_runs(weights, n)]
+    return _run_tasks(fn, plan, split, num_returns)
+
+
+def _scan_dataset(
+    fn, man: Manifest, pids: list[int], cap: int | None = None
+) -> ray.data.Dataset:
+    """:func:`_scan` with one table per task, wrapped as a Dataset of one
+    block each: read at call time, so later commits or GC cannot take files
+    from under it."""
+    return ray.data.from_arrow_refs([ref for ref, in _scan(fn, man, pids, cap)])
 
 
 def read_snapshot(
@@ -1430,7 +1453,7 @@ def read_snapshot(
         sum_cols=man.sum_cols,
         columns=columns,
     )
-    return _scan(reader, man, pids)
+    return _scan_dataset(reader, man, pids)
 
 
 def files_for_time_range(
@@ -1474,14 +1497,14 @@ def read_time_range(
     )
     lo, hi = pa.scalar(start, pa.timestamp("us")), pa.scalar(end, pa.timestamp("us"))
 
-    def read_and_trim(batch: pa.Table) -> pa.Table:
-        t = reader(batch)
+    def read_and_trim(pids: list[int]) -> pa.Table:
+        t = reader(pids)
         mask = pc.and_(
             pc.greater_equal(t.column(ts_col), lo), pc.less(t.column(ts_col), hi)
         )
         return t.filter(mask)
 
-    return _scan(read_and_trim, man, [int(pid) for pid in chains])
+    return _scan_dataset(read_and_trim, man, [int(pid) for pid in chains])
 
 
 def snapshot_table(table_dir: str, epoch: int | None = None) -> pa.Table:

@@ -9,8 +9,8 @@ runs before a training job:
       → classifier quality cut     (p_positive ≥ min_prob, DCLM-style)
       → deterministic shuffled export into training shards
 
-Both models score inside the SAME snapshot actor (broadcast payloads
-fetched once per actor), so the whole job is one snapshot read + the one
+Both models score inside the SAME snapshot task (broadcast payloads
+fetched once per task), so the whole job is one snapshot read + the one
 unavoidable shuffle of the shard exporter. Kept rows carry their
 ``lm_ppl`` / ``p_positive`` columns into the shards — training-side
 curriculum or re-weighting can reuse them without rescoring.

@@ -14,8 +14,8 @@ Scale shape (the whole point at 10^10 rows):
   adjacent epochs that's most of the table (an epoch touches the partitions
   its events hash to), so the diff is O(changed partitions), not O(table).
 - **Per-partition vectorized key diff**: changed partitions reconstruct
-  both states (the same MERGE-on-read path as read_snapshot, one
-  embarrassingly parallel task per pid, no shuffle) and diff them with two
+  both states (the same MERGE-on-read path and partition runner as
+  read_snapshot, no shuffle) and diff them with two
   ``pc.index_in`` passes on the key column — rows only in the new state are
   creates, key matches with a different version LSN are updates, keys only
   in the old state are deletes. LSN comparison IS the value comparison: a
@@ -34,8 +34,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..schemas import cast_table, schema_from_b64
-from ..stages.merge import read_partition
+from ..schemas import cast_table
+from ..stages.merge import read_partition_final
 from ..state.manifest import load_manifest
 
 
@@ -126,48 +126,43 @@ def table_diff(
 ) -> ray.data.Dataset:
     """Change stream turning the table's ``from_epoch`` state into its
     ``to_epoch`` (default: current) state. Both epochs must be retained
-    (load_manifest raises otherwise). Returns a streamed Dataset — one
-    read-diff task per CHANGED partition."""
+    (load_manifest raises otherwise). The CHANGED partitions are read and
+    diffed at call time on the partition runner
+    (``pipelines.apply._scan``), so later commits or GC cannot take files
+    from under the returned Dataset."""
+    from .apply import _scan_dataset
+
     changed = changed_partitions(table_dir, from_epoch, to_epoch)
     man_old = load_manifest(table_dir, epoch=from_epoch)
     man_new = load_manifest(
         table_dir, epoch=None if to_epoch is None else to_epoch
     )
     out_schema = man_new.schema.append(pa.field("op", pa.string()))
-    schema_b64 = man_new.schema_b64
-    old_schema_b64 = man_old.schema_b64
-
     if not changed:
         return ray.data.from_arrow(out_schema.empty_table())
 
     mode, key_col = man_new.mode, man_new.key_col
     sum_cols = man_new.sum_cols
-    old_wm = man_old.watermark
-    new_wm = man_new.watermark
+    schema, old_schema = man_new.schema, man_old.schema
+    old_wm, new_wm = man_old.watermark, man_new.watermark
+    chains = {c["pid"]: (c["old"], c["new"]) for c in changed}
 
-    def diff_pids(batch: pa.Table) -> pa.Table:
-        import json as _json
+    def state(files: list[str], schema: pa.Schema) -> pa.Table:
+        if not files:
+            return schema.empty_table()
+        # collapse tables diff FINAL states, not the partial encoding:
+        # partials hold winner + adjustment rows (duplicate keys, residual
+        # cancel balances) that would surface as phantom changes. The
+        # emitted stream is LWW ops over alive rows — replayable onto an
+        # upsert replica (a collapse replica takes cancel rows, not ops;
+        # see merge.collapse_compact).
+        return read_partition_final(table_dir, files, schema, mode, sum_cols)
 
-        schema = schema_from_b64(schema_b64)
-        old_schema = schema_from_b64(old_schema_b64)
+    def diff_pids(pids: list[int]) -> pa.Table:
         out = []
-        for row in batch.to_pylist():
-            old_files, new_files = _json.loads(row["files_json"])
-            new_t = (
-                read_partition(table_dir, new_files, schema, mode, sum_cols)
-                if new_files
-                else schema.empty_table()
-            )
-            if mode == "collapse":
-                # diff FINAL states, not the partial encoding: partials hold
-                # winner + adjustment rows (duplicate keys, residual cancel
-                # balances) that would surface as phantom changes. The
-                # emitted stream is LWW ops over alive rows — replayable
-                # onto an upsert replica (a collapse replica takes cancel
-                # rows, not ops; see merge.collapse_compact).
-                from ..stages.merge import collapse_finalize
-
-                new_t = collapse_finalize(new_t)
+        for pid in pids:
+            old_files, new_files = chains[pid]
+            new_t = state(new_files, schema)
             if mode == "append":
                 # immutable rows: the diff IS the new rows
                 d = new_t.filter(pc.greater(new_t.column("lsn"), pa.scalar(old_wm)))
@@ -175,27 +170,9 @@ def table_diff(
                     "op", pa.nulls(d.num_rows, pa.string()).fill_null("c")
                 )
             else:
-                old_t = (
-                    read_partition(table_dir, old_files, old_schema, mode, sum_cols)
-                    if old_files
-                    else old_schema.empty_table()
-                )
-                if mode == "collapse":
-                    from ..stages.merge import collapse_finalize
-
-                    old_t = collapse_finalize(old_t)
-                d = _diff_partition(
-                    cast_table(old_t, schema), new_t, key_col, new_wm
-                )
+                old_t = cast_table(state(old_files, old_schema), schema)
+                d = _diff_partition(old_t, new_t, key_col, new_wm)
             out.append(d)
-        return pa.concat_tables(out) if out else out_schema.empty_table()
+        return pa.concat_tables(out)
 
-    import json as _json
-
-    items = [
-        {"pid": c["pid"], "files_json": _json.dumps([c["old"], c["new"]])}
-        for c in changed
-    ]
-    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        diff_pids, batch_format="pyarrow", batch_size=None
-    )
+    return _scan_dataset(diff_pids, man_new, list(chains))

@@ -114,7 +114,11 @@ def scan_plan_multi(
     the read must open. The plan dict doubles as the pruning evidence the
     spy tests assert on.
     """
-    man = load_manifest(table_dir, epoch=epoch)
+    return _plan(load_manifest(table_dir, epoch=epoch), predicates)
+
+
+def _plan(man, predicates: dict) -> dict:
+    """:func:`scan_plan_multi` over the manifest ``man``."""
     preds = _normalize_preds(man, predicates)
     usable = [p for p in preds if p[3]]
 
@@ -185,13 +189,17 @@ def read_where_multi(
     (bounds inclusive, either side of any conjunct may be None) with
     manifest-level skip-index pruning across ALL bounded columns.
 
-    Returns ``(dataset, plan)``; the dataset streams the EXACT predicate
+    Returns ``(dataset, plan)``; the dataset holds the EXACT predicate
     result (zones only decide which parts open — the row filter always
-    runs), optionally projected to ``columns``. One embarrassingly parallel
-    map over surviving partitions, no shuffle.
+    runs), optionally projected to ``columns``. The surviving partitions are
+    read at call time on the partition runner (``pipelines.apply._scan``),
+    no shuffle, so later commits or GC cannot take files from under the
+    Dataset.
     """
-    plan = scan_plan_multi(table_dir, predicates, epoch=epoch)
+    from .apply import _scan_dataset
+
     man = load_manifest(table_dir, epoch=epoch)
+    plan = _plan(man, predicates)
     schema = man.schema
     out_schema = (
         pa.schema([schema.field(c) for c in columns]) if columns else schema
@@ -227,8 +235,8 @@ def read_where_multi(
         columns=read_cols,
     )
 
-    def read_and_filter(batch: pa.Table) -> pa.Table:
-        t = reader(batch)
+    def read_and_filter(pids: list[int]) -> pa.Table:
+        t = reader(pids)
         mask = None
         for col, slo, shi in bounds:
             c = t.column(col)
@@ -241,8 +249,5 @@ def read_where_multi(
         t = t.filter(pc.fill_null(mask, False))
         return t.select(cols) if cols else t
 
-    items = [{"pid": int(pid)} for pid in sorted(plan["partitions"], key=int)]
-    ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        read_and_filter, batch_format="pyarrow", batch_size=None
-    )
-    return ds, plan
+    pids = [int(pid) for pid in plan["partitions"]]
+    return _scan_dataset(read_and_filter, man, pids), plan

@@ -695,15 +695,16 @@ def make_partition_reader(
     sum_cols: list[str] | tuple = (),
     columns: list[str] | None = None,
 ):
-    """Stateless map_batches fn for MERGE-on-read over pid-descriptor rows.
+    """MERGE-on-read fn of the partition runner: ``read_pids(pids)`` is the
+    merged state of those partitions, concatenated in the order given.
     ``columns`` pushes projection into the parquet reads (merge keys are
-    fetched as needed and dropped again — the emitted batches hold exactly
-    the requested columns)."""
+    fetched as needed and dropped again — the result holds exactly the
+    requested columns)."""
 
-    def read_pids(batch: pa.Table) -> pa.Table:
+    def read_pids(pids: list[int]) -> pa.Table:
         schema = schema_from_b64(snapshot_schema_b64)
         out = []
-        for pid in batch.column("pid").to_pylist():
+        for pid in pids:
             files = files_by_pid.get(str(pid)) or []
             if files:
                 t = read_partition_final(
@@ -905,9 +906,10 @@ class CompactWorker:
     """The one per-partition rewrite worker behind every maintenance pass:
     fold a partition's chain (:func:`read_partition`), optionally rewrite
     its rows, and write the result as one clean part (``snapshot-``, or
-    ``append-`` on append tables). Runs as an actor pool over
-    pid-descriptor rows, or driver-side for small passes; same write-once +
-    manifest-put commit protocol as MergeApply.
+    ``append-`` on append tables). Each call takes a list of pids and
+    returns their stats rows; it runs driver-side for small passes, else on
+    the partition runner's tasks. Same write-once + manifest-put commit
+    protocol as MergeApply.
 
     - ``rewrite=None`` is major compaction (a manual ``OPTIMIZE TABLE ...
       FINAL`` on a ReplacingMergeTree): the folded state is written as is.
@@ -936,10 +938,10 @@ class CompactWorker:
         self.skip_cols = list(skip_cols)
         self.rewrite = rewrite
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, pids: list[int]) -> pa.Table:
         out = []
         kind = "append" if self.mode == "append" else "snapshot"
-        for pid in batch.column("pid").to_pylist():
+        for pid in pids:
             t0 = time.perf_counter()
             meta = self.partitions[str(pid)]
             files = list(meta.get("files") or [])
@@ -973,8 +975,10 @@ class CompactWorker:
 
 class SnapshotWriter:
     """Write one pid group of already-merged snapshot rows as a clean
-    snapshot file (used by table repartitioning, where rows arrive via a
-    shuffle rather than a file chain). Same write-once commit protocol."""
+    snapshot file: the merge class of an import or repartition epoch, whose
+    rows arrive routed from read tasks rather than from a file chain. Same
+    write-once commit protocol. With ``check_unique`` a key that occurs
+    twice in the group raises ``ValueError`` (the caller commits nothing)."""
 
     def __init__(
         self,
@@ -999,29 +1003,24 @@ class SnapshotWriter:
         rows = cast_table(rows, self.snapshot_schema).sort_by(
             [("doc_id", "ascending")]
         )
-        dup_sample: list = []
         if self.check_unique and rows.num_rows > 1:
             # Bulk import has no LSN order to break ties with, so duplicate
-            # keys would silently produce a non-unique "clean" snapshot —
-            # detect them here (vectorized adjacent-equal on sorted keys) and
-            # REPORT via the stats row; the DRIVER raises before committing.
-            # (Raising inside the actor would poison the session: Ray Data's
-            # failure path leaks the pool's actors + their CPUs, observed
-            # deadlocking later datasets in a long pytest session.)
+            # keys would silently produce a non-unique "clean" snapshot:
+            # adjacent-equal on the sorted keys finds them
             keys = rows.column("doc_id").combine_chunks()
             n = len(keys)
             dup = pc.equal(keys.slice(0, n - 1), keys.slice(1, n - 1))
-            n_dup = pc.sum(dup.cast(pa.int64())).as_py() or 0
-            if n_dup:
-                dup_sample = pc.filter(keys.slice(0, n - 1), dup).slice(0, 5).to_pylist()
+            if pc.any(dup).as_py():
+                sample = pc.filter(keys.slice(0, n - 1), dup).slice(0, 5).to_pylist()
+                raise ValueError(
+                    f"import: duplicate key(s) in corpus (e.g. {sample}); "
+                    f"deduplicate before import"
+                )
         rel, nbytes = write_part(
             self.table_dir, pid, self.epoch, "snapshot", rows
         )
-        stats = _stats_row(
+        return _stats_row(
             pid, rows.num_rows, True, nbytes,
             rows.num_rows, 0, 0, rel, [rel], t0,
             zones_json=_zones_json(rel, rows, self.skip_cols),
-        )
-        return stats.append_column(
-            "dups_json", pa.array([json.dumps(dup_sample)], pa.string())
         )

@@ -18,7 +18,8 @@ is a per-partition partial derived from the partition's merged state, and
   ``read_partition_final``, derived and written to a staging layout by one
   function: driver-side when the changed pids' manifest bytes total at
   most ``pipelines.apply.COMPACT_DRIVER_BYTES`` (the maintenance budget),
-  otherwise as a Ray Data map over the pids.
+  otherwise on the engine's partition runner (``pipelines.apply._scan``:
+  about one plain Ray task per CPU over byte-balanced runs of pids).
 - **one commit.** Incremental: swap each changed pid's directory, remove
   partials of vanished pids, write meta. Full rebuild: derive the whole
   layout aside, remove meta, swap the layout, write meta. The live layout
@@ -148,29 +149,22 @@ def refresh_table_partials(
     if prepare is not None:
         derive = prepare(stage if full else root, full)
 
-    def work(pid):
-        # both venues run this: one pid's merged state (collapse tables:
+    def work(run: list[int]) -> None:
+        # both venues run this: each pid's merged state (collapse tables:
         # alive winners only) → its partial → files under ``stage``
-        snap = read_partition_final(
-            table_dir, chains[pid], man.schema, man.mode, man.sum_cols, columns
-        )
-        _write_partial(os.path.join(stage, f"pid={pid}"), derive(snap), bucketed)
+        for pid in map(str, run):
+            snap = read_partition_final(
+                table_dir, chains[pid], man.schema, man.mode, man.sum_cols, columns
+            )
+            _write_partial(os.path.join(stage, f"pid={pid}"), derive(snap), bucketed)
 
     changed_bytes = sum(int(man.partitions[p].get("bytes") or 0) for p in pids)
     if changed_bytes <= apply_mod.COMPACT_DRIVER_BYTES:
-        for pid in pids:
-            work(pid)
+        work(pids)
     else:
-        import ray.data
+        import ray
 
-        def work_batch(batch: pa.Table) -> pa.Table:
-            for pid in batch.column("pid").to_pylist():
-                work(pid)
-            return batch
-
-        ray.data.from_items(
-            [{"pid": p} for p in pids], override_num_blocks=len(pids)
-        ).map_batches(work_batch, batch_format="pyarrow", batch_size=1).take_all()
+        ray.get([ref for ref, in apply_mod._scan(work, man, list(map(int, pids)))])
 
     meta_path = os.path.join(dest, "meta.json")
     if full:

@@ -18,8 +18,9 @@ from clickhouse_data_pipeline_ray.state.manifest import retained_epochs
 
 
 def force_ray_venue(monkeypatch) -> None:
-    """Run every artifact refresh's per-pid derive as a Ray Data map: a
-    maintenance budget of 0 bytes leaves no pid to the driver."""
+    """Run every artifact refresh's per-pid derive on the partition
+    runner's Ray tasks: a maintenance budget of 0 bytes leaves no pid to
+    the driver."""
     from clickhouse_data_pipeline_ray.pipelines import apply
 
     monkeypatch.setattr(apply, "COMPACT_DRIVER_BYTES", 0)

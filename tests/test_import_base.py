@@ -88,3 +88,33 @@ def test_import_rejects_duplicate_keys(ray_session, tmp_path):
     create_table(table_dir, num_partitions=2)
     with pytest.raises(Exception, match="duplicate key"):
         import_base(table_dir, corpus_path)
+
+
+def test_import_rejects_a_duplicate_key_across_files(ray_session, tmp_path):
+    """A directory corpus whose duplicate key sits in two files, so two
+    read tasks route it to one merge call: the import raises "duplicate
+    key" and commits nothing, and the same table then imports the corpus
+    without the duplicate. Marker and hidden files are not read."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+
+    def part(name: str, keys: list[str]) -> None:
+        pq.write_table(pa.table({
+            "doc_id": pa.array(keys),
+            "tokens": pa.array([[i] for i in range(len(keys))], pa.list_(pa.int32())),
+            "source": pa.array(["s"] * len(keys)),
+        }), str(corpus / name))
+
+    part("part-0.parquet", [f"k{i}" for i in range(50)])
+    part("part-1.parquet", [f"k{i}" for i in range(50, 100)] + ["k7"])
+    (corpus / "_SUCCESS").write_text("")
+    (corpus / ".part-1.parquet.crc").write_text("not parquet")
+    table_dir = str(tmp_path / "t")
+    create_table(table_dir, num_partitions=4)
+    with pytest.raises(ValueError, match="duplicate key"):
+        import_base(table_dir, str(corpus))
+    assert snapshot_table(table_dir).num_rows == 0
+
+    part("part-1.parquet", [f"k{i}" for i in range(50, 100)])
+    assert import_base(table_dir, str(corpus))["rows"] == 100
+    assert snapshot_table(table_dir).num_rows == 100

@@ -4,9 +4,11 @@ Each epoch routes its changes in the normalize map and merges them on a pool
 of actors that outlives the epoch, so the pool must survive what a cached
 handle does not: an actor killed between epochs, an actor dying in the middle
 of a merge, and a Ray session restarted in the same process. The actors
-reserve no CPU, so a Ray Data actor-pool job right after a salted epoch still
-gets the session's CPUs, and the epochs of two threads can share the pool.
-Every apply result reports the same phase timers on both apply paths."""
+reserve no CPU, so the maintenance tasks right after a salted epoch still
+get the session's CPUs, the epochs of two threads can share the pool, and
+an import and a repartition, epochs on the same pool, finish in a 2-CPU
+session. Every apply result reports the same phase timers on both apply
+paths."""
 
 import os
 import signal
@@ -196,9 +198,9 @@ print("OK")
 
 
 def test_salted_epoch_then_actor_pool_job_in_two_cpus(tmp_path):
-    """A salted distributed epoch, then a Ray Data actor-pool compaction, in
-    a 2-CPU session: merge actors that held CPUs would leave the
-    compaction's actors none and stall it."""
+    """A salted distributed epoch, then a compaction on maintenance tasks,
+    in a 2-CPU session: merge actors that held CPUs would leave the
+    compaction's tasks none and stall it."""
     wal = _wal(tmp_path, GenParams(
         total_events=3_000, base_events=500, events_per_segment=500, seed=47,
         mix=(0.1, 0.8, 0.1), zipf_a=1.2, hot_frac=0.8, tok_min=4, tok_max=32,
@@ -217,3 +219,36 @@ assert_snapshots_equal(snapshot_table(table), replay_oracle(wal))
 ray.shutdown()
 print("OK")
 """, wal, str(tmp_path / "t"), timeout=120)
+
+
+def test_import_and_repartition_in_two_cpus(tmp_path):
+    """An import and a repartition are apply epochs on the session merge
+    pool: in a 2-CPU session, after a distributed epoch, both finish, and
+    the table holds the corpus plus the WAL under the new partition
+    count."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    wal = _wal(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(2):
+        keys = [f"imported-{i}-{j}" for j in range(150)]
+        pq.write_table(pa.table({
+            "doc_id": keys,
+            "tokens": pa.array([[j, j + 1] for j in range(150)], pa.list_(pa.int32())),
+            "source": ["imported"] * 150,
+        }), str(corpus / f"part-{i}.parquet"))
+    _run(_PRELUDE + """
+from clickhouse_data_pipeline_ray.pipelines.apply import import_base, repartition_table
+init()
+assert import_base(table, sys.argv[3])["rows"] == 300
+while apply_once(table, wal, ApplyConfig(**%r)) is not None:
+    pass
+before = snapshot_table(table)
+assert before.num_rows == 300 + replay_oracle(wal).num_rows
+assert repartition_table(table, 7)["num_partitions"] == 7
+assert snapshot_table(table).equals(before)
+ray.shutdown()
+print("OK")
+""" % DIST, wal, str(tmp_path / "t"), str(corpus), timeout=120)

@@ -12,6 +12,7 @@ the GC rule that replaces a grace window.
 """
 
 import datetime as dt
+import functools
 import hashlib
 import json
 import os
@@ -36,14 +37,16 @@ from clickhouse_data_pipeline_ray.pipelines.apply import (
     repartition_table,
     snapshot_table,
     ttl_expire,
+    _until_committed,
 )
-from clickhouse_data_pipeline_ray.schemas import FACT_SNAPSHOT_SCHEMA
+from clickhouse_data_pipeline_ray.schemas import FACT_CHANGE_SCHEMA, FACT_SNAPSHOT_SCHEMA
 from clickhouse_data_pipeline_ray.sources.gen import (
     FactGenParams,
     GenParams,
     generate_fact_wal,
     generate_wal,
 )
+from clickhouse_data_pipeline_ray.sources.wal import list_segments, segment_path
 from clickhouse_data_pipeline_ray.state.fsck import fsck_table
 from clickhouse_data_pipeline_ray.state.manifest import (
     ConcurrentCommitError,
@@ -61,6 +64,7 @@ PARAMS = GenParams(
 )
 CFG = ApplyConfig(max_segments=2, salt_factor=1)
 # distributed path (Ray merge workers) — the protocol must hold there too
+TIME_SPEC = {"kind": "time", "col": "event_ts", "granularity": "month"}
 DIST_CFG = ApplyConfig(max_segments=2, salt_factor=1, small_epoch_events=0)
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -549,6 +553,107 @@ def test_replay_retries_lost_auto_compaction(ray_session, wal, tmp_path, monkeyp
     assert out[2].get("compaction") and out[2]["epoch"] == 3
     assert all(len(p["files"]) <= 1 for p in load_manifest(table).partitions.values())
     assert_snapshots_equal(snapshot_table(table), replay_oracle(wal))
+
+
+def test_cli_apply_retries_lost_auto_compaction(ray_session, wal, tmp_path, capsys, monkeypatch):
+    """``cli apply --auto-compact`` retries a compaction that lost its put,
+    as replay does, and the command ends with exit code 0."""
+    from clickhouse_data_pipeline_ray import cli
+
+    table = str(tmp_path / "t")
+    create_table(table, num_partitions=4)
+    real_compact = apply_mod.compact_table
+    lost = []
+
+    def compact_losing_once(table_dir, **kwargs):
+        if not lost:
+            lost.append(load_manifest(table_dir).epoch)
+            raise ConcurrentCommitError("a rival writer committed this epoch first")
+        return real_compact(table_dir, **kwargs)
+
+    monkeypatch.setattr(apply_mod, "compact_table", compact_losing_once)
+    rc = cli.main(["apply", "--table", table, "--wal", wal, "--epoch-segments", "1",
+                   "--compact-threshold", "100", "--auto-compact", "0.0"])
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+            if line.startswith("{")]
+    assert rc == 0
+    assert lost == [1]
+    assert any(d.get("compaction") for d in docs)
+    assert_snapshots_equal(snapshot_table(table), replay_oracle(wal))
+
+
+def _fact_segment(wal: str, first_lsn: int, n: int, month: int) -> None:
+    """``n`` fact inserts from ``first_lsn`` on, all in 2024-``month``."""
+    lsns = list(range(first_lsn, first_lsn + n))
+    pq.write_table(pa.table({
+        "lsn": lsns,
+        "op": ["c"] * n,
+        "event_id": [f"late-{i}" for i in lsns],
+        "doc_id": [f"doc-{i}" for i in lsns],
+        "event_ts": [dt.datetime(2024, month, 3)] * n,
+        "event_type": ["view"] * n,
+        "value": [1.0] * n,
+    }, schema=FACT_CHANGE_SCHEMA), segment_path(wal, lsns[0], lsns[-1]))
+
+
+@pytest.mark.parametrize("op", ["compact", "mutate"])
+def test_maintenance_plans_from_the_manifest_it_rewrites(
+    ray_session, tmp_path, monkeypatch, op
+):
+    """A time-partitioned table gains a month while ``compact_table`` or
+    ``mutate_table`` plans: the pass loses its put (or lands), never fails
+    on a partition its manifest lacks, and its retry covers the new month
+    too."""
+    wal = str(tmp_path / "fw")
+    generate_fact_wal(wal, FactGenParams(total_events=3_000,
+                                         events_per_segment=1_000, seed=19))
+    table = str(tmp_path / "t")
+    create_table(table, schema=FACT_SNAPSHOT_SCHEMA, mode="append",
+                 key_col="event_id", partition_spec=TIME_SPEC)
+    cfg = ApplyConfig(max_segments=1, salt_factor=1)
+    replay(table, wal, cfg, final_compact=False)
+    assert apply_mod.compact_plan(table)["pids"]
+    last = list_segments(wal)[-1].last_lsn
+    for first in (last + 1, last + 11):
+        _fact_segment(wal, first, 10, month=6)
+
+    real_load = apply_mod.load_manifest
+    rival = []
+
+    def load_then_rival_commits(table_dir, epoch=None):
+        man = real_load(table_dir, epoch=epoch)
+        if not rival:  # the rival's own loads pass straight through
+            rival.append(man.epoch)
+            for _ in range(2):
+                assert apply_once(table, wal, cfg) is not None
+        return man
+
+    if op == "compact":
+        run = functools.partial(compact_table, table)
+    else:  # deletes every value in [0.5, 1.0], the new month's rows too
+        run = functools.partial(mutate_table, table, "value", 0.5, 1.0, delete=True)
+    monkeypatch.setattr(apply_mod, "load_manifest", load_then_rival_commits)
+    try:
+        run()
+    except ConcurrentCommitError:
+        pass
+    monkeypatch.undo()
+    assert rival
+    assert len(load_manifest(table).partitions["202406"]["files"]) == 2
+    before = snapshot_table(table)
+    assert before.num_rows == 3_020
+    assert _until_committed(run)
+    after = snapshot_table(table)
+    parts = load_manifest(table).partitions
+    if op == "compact":
+        assert all(len(p["files"]) == 1 for p in parts.values())
+        assert after.num_rows == 3_020
+    else:
+        value = before.column("value")
+        hit = pa.compute.and_(pa.compute.greater_equal(value, 0.5),
+                              pa.compute.less_equal(value, 1.0))
+        assert after.num_rows == 3_020 - pa.compute.sum(hit).as_py() < 3_000
+        assert len(parts["202406"]["files"]) == 1
 
 
 def test_object_maintenance_ops(ray_session, tmp_path):

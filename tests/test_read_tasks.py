@@ -5,8 +5,9 @@ segment splits when there are fewer segments than CPUs), each returning one
 table per merge dest; a scan runs, when it is called, about one task per
 session CPU, each over a contiguous run of whole partitions balanced by
 chain bytes. Neither runs a Ray Data execution, a scan reads each partition
-once, a scan's Dataset keeps its rows after later commits collect their
-files, and no part or WAL read goes through ``pq.read_table``."""
+once, a scan's, a range scan's or a diff's Dataset keeps its rows after
+later commits collect their files, and no part or WAL read goes through
+``pq.read_table``."""
 
 import datetime as dt
 import os
@@ -19,6 +20,8 @@ import pyarrow.parquet as pq
 import ray
 
 import clickhouse_data_pipeline_ray.pipelines.apply as apply_mod
+import clickhouse_data_pipeline_ray.pipelines.diff as diff_mod
+import clickhouse_data_pipeline_ray.pipelines.scan as scan_mod
 from clickhouse_data_pipeline_ray.pipelines.apply import (
     ApplyConfig,
     apply_once,
@@ -65,7 +68,7 @@ def _count_calls(monkeypatch, module, factory: str, log: str) -> None:
 
         def fn(batch):
             with open(log, "a") as f:
-                f.write(f"{batch.num_rows}\n")
+                f.write(f"{len(batch)}\n")
             return inner(batch)
 
         return fn
@@ -73,22 +76,23 @@ def _count_calls(monkeypatch, module, factory: str, log: str) -> None:
     monkeypatch.setattr(module, factory, counting)
 
 
-def _log_reader_pids(monkeypatch, log: str) -> None:
-    """Wrap every partition reader so that each call, in any process,
-    appends the pids it was asked for as one comma-separated line."""
-    make = merge_mod.make_partition_reader
+def _log_reader_pids(monkeypatch, log: str, module=merge_mod) -> None:
+    """Wrap every partition reader ``module`` makes so that each call, in
+    any process, appends the pids it was asked for as one comma-separated
+    line."""
+    make = module.make_partition_reader
 
     def logging_reader(*args, **kwargs):
         inner = make(*args, **kwargs)
 
-        def fn(batch):
+        def fn(pids):
             with open(log, "a") as f:
-                f.write(",".join(map(str, batch.column("pid").to_pylist())) + "\n")
-            return inner(batch)
+                f.write(",".join(map(str, pids)) + "\n")
+            return inner(pids)
 
         return fn
 
-    monkeypatch.setattr(merge_mod, "make_partition_reader", logging_reader)
+    monkeypatch.setattr(module, "make_partition_reader", logging_reader)
 
 
 def _reader_calls(log: str) -> list[list[int]]:
@@ -213,6 +217,80 @@ def test_snapshot_dataset_outlives_gc(ray_session, tmp_path):
     assert_snapshots_equal(got, want)
 
 
+def _gc_table(tmp_path, retention: int) -> tuple[str, str, ApplyConfig]:
+    """A 4-partition table whose every commit rewrites the partitions it
+    touches and collects what no retained manifest references, after one
+    epoch of an 11-segment WAL."""
+    wal = str(tmp_path / "wal")
+    generate_wal(wal, GenParams(
+        total_events=2_200, base_events=200, events_per_segment=200, seed=59,
+        tok_min=4, tok_max=16,
+    ))
+    table = str(tmp_path / "t")
+    create_table(table, num_partitions=4, retention=retention)
+    cfg = ApplyConfig(max_segments=1, compact_threshold=1)
+    apply_once(table, wal, cfg)
+    return table, wal, cfg
+
+
+def test_read_where_dataset_outlives_gc(ray_session, tmp_path, monkeypatch):
+    """A read_where Dataset taken before 10 commits of a retention=1 table
+    still yields the rows of its epoch, and its ``to_arrow_refs()`` runs the
+    partition reader once for each partition it reads."""
+    table, wal, cfg = _gc_table(tmp_path, retention=1)
+    want = snapshot_table(table)
+    want = want.filter(pa.compute.greater_equal(want.column("n_tok"), 8))
+    log = str(tmp_path / "reader.log")
+    _log_reader_pids(monkeypatch, log, scan_mod)
+    ds, plan = scan_mod.read_where(table, "n_tok", lo=8)
+    for _ in range(10):
+        assert apply_once(table, wal, cfg) is not None
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert 0 < got.num_rows
+    assert_snapshots_equal(got, want)
+    read = sorted(p for c in _reader_calls(log) for p in c)
+    assert read == sorted(int(p) for p in plan["partitions"]) == [0, 1, 2, 3]
+
+
+def test_table_diff_dataset_outlives_gc(ray_session, tmp_path, monkeypatch):
+    """A table_diff Dataset taken before 5 commits of a retention=3 table
+    still yields the changes between its epochs, and its
+    ``to_arrow_refs()`` reads each changed partition's chain once per
+    side."""
+    table, wal, cfg = _gc_table(tmp_path, retention=3)
+    for _ in range(2):
+        apply_once(table, wal, cfg)
+    old, new = snapshot_table(table, epoch=1), snapshot_table(table)
+    old_lsn = dict(zip(old.column("doc_id").to_pylist(), old.column("lsn").to_pylist()))
+    new_lsn = dict(zip(new.column("doc_id").to_pylist(), new.column("lsn").to_pylist()))
+    want = sorted(
+        [(k, "c") for k in new_lsn if k not in old_lsn]
+        + [(k, "u") for k in new_lsn if k in old_lsn and new_lsn[k] != old_lsn[k]]
+        + [(k, "d") for k in old_lsn if k not in new_lsn]
+    )
+    changed = diff_mod.changed_partitions(table, 1)
+    chains = sorted(
+        ",".join(c[side]) for c in changed for side in ("old", "new") if c[side]
+    )
+    log = str(tmp_path / "chains.log")
+    read = diff_mod.read_partition_final
+
+    def logging_read(table_dir, files, *args, **kwargs):
+        with open(log, "a") as f:
+            f.write(",".join(files) + "\n")
+        return read(table_dir, files, *args, **kwargs)
+
+    monkeypatch.setattr(diff_mod, "read_partition_final", logging_read)
+    ds = diff_mod.table_diff(table, 1)
+    for _ in range(5):
+        assert apply_once(table, wal, cfg) is not None
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert want and sorted(zip(
+        got.column("doc_id").to_pylist(), got.column("op").to_pylist()
+    )) == want
+    assert sorted(_log_lines(log)) == chains and len(changed) == 4
+
+
 def _keyed_rows(counts: dict[int, int], num_partitions: int) -> list[tuple]:
     """(lsn, op, doc_id) inserts: ``counts[pid]`` fresh keys of each pid."""
     rows, i = [], 0
@@ -308,14 +386,20 @@ def test_scan_plans_one_task_per_cpu_by_chain_bytes(ray_session, tmp_path, monke
     assert sorted(got.column("lsn").to_pylist()) == want.column("lsn").to_pylist()
 
 
-class _ScanHere:
-    """Stands in for ``apply._scan_task``: runs the scan reader in this
-    process, where a monkeypatch can see its reads."""
+class _TaskHere:
+    """Stands in for ``apply._task``, the one Ray task of the engine: runs
+    each task's fn in this process, where a monkeypatch can see its
+    reads."""
 
     @staticmethod
-    def remote(reader, pids):
-        table = ray.get(reader)(pa.table({"pid": pa.array(pids, pa.int64())}))
-        return ray.put(table)
+    def options(num_returns=1):
+        assert num_returns == 1
+        return _TaskHere
+
+    @staticmethod
+    def remote(fn, items, split):
+        assert split is None
+        return ray.put(ray.get(fn)(items))
 
 
 def test_part_and_wal_reads_skip_the_dataset_layer(ray_session, tmp_path, monkeypatch):
@@ -323,7 +407,7 @@ def test_part_and_wal_reads_skip_the_dataset_layer(ray_session, tmp_path, monkey
     ranges of a split segment, threshold folds), ``compact_table`` or a
     ``read_snapshot`` scan calls ``pq.read_table``. Ray tasks run in other
     processes, so the epochs and the compaction take their driver-side
-    paths and the scan tasks run here; each runs the same reader code."""
+    paths and the scan's tasks run here; each runs the same reader code."""
     wal = str(tmp_path / "wal")
     generate_wal(wal, PARAMS)
     table = str(tmp_path / "t")
@@ -333,7 +417,7 @@ def test_part_and_wal_reads_skip_the_dataset_layer(ray_session, tmp_path, monkey
         raise AssertionError("pq.read_table on a part or WAL read")
 
     monkeypatch.setattr(pq, "read_table", no_read_table)
-    monkeypatch.setattr(apply_mod, "_scan_task", _ScanHere)
+    monkeypatch.setattr(apply_mod, "_task", _TaskHere)
     cfg = ApplyConfig(max_segments=2, compact_threshold=3)
     stats = []
     while (s := apply_once(table, wal, cfg)) is not None:
